@@ -12,7 +12,7 @@
 //   ./build/examples/chaos_runner --seeds 20         # 5 families x 20 seeds
 //   ./build/examples/chaos_runner --family corrupt --seeds 8
 //   ./build/examples/chaos_runner --base-seed 42 --bytes 3000000
-//   ./build/examples/chaos_runner --shards 4       # sharded parallel engine
+//   ./build/examples/chaos_runner --shards 4       # one domain per host
 //   ./build/examples/chaos_runner --metrics        # per-run metrics tables
 //   ./build/examples/chaos_runner --trace out.json # Chrome/Perfetto trace
 //   ./build/examples/chaos_runner --app rpc        # RPC workload w/ retries
@@ -24,9 +24,11 @@
 //
 // Exit status: 0 when every run is clean, 1 on any violation or mismatch —
 // the failing (family, seed) pair printed is a complete repro recipe.
-// With --shards N the scenario runs on the sharded conservative-lookahead
-// engine; the digest is identical for every N >= 1, so a repro found at
-// --shards 8 replays at --shards 1. --trace collects the Juggler engine's
+// Every run executes on the sharded conservative-lookahead engine. The
+// default --shards 0 runs the testbed as one domain; --shards N gives each
+// host its own domain, run by up to N workers. The digest is identical for
+// every N >= 1, so a repro found at --shards 8 replays at --shards 1, and
+// the stream digest matches --shards 0. --trace collects the Juggler engine's
 // flight-recorder events across every run into one trace file (load it at
 // ui.perfetto.dev or chrome://tracing); events and metrics are byte-identical
 // for every --shards N >= 1.
@@ -202,14 +204,14 @@ int main(int argc, char** argv) {
         }
         if (overload) {
           std::printf("    overload[%s]: %llu injected, %llu inject-drops, %llu exhausted, "
-                      "%llu ring-drops, peak pool %llu, leaked %lld\n",
+                      "%llu ring-drops, peak pool %llu, leaked %llu\n",
                       StackKindName(stack),
                       static_cast<unsigned long long>(er.overload.injected_packets),
                       static_cast<unsigned long long>(er.overload.inject_alloc_drops),
                       static_cast<unsigned long long>(er.overload_pool_exhausted),
                       static_cast<unsigned long long>(er.overload_ring_drops),
                       static_cast<unsigned long long>(er.overload_peak_pool),
-                      static_cast<long long>(er.overload_pool_leaked));
+                      static_cast<unsigned long long>(er.overload_pool_leaked));
         }
         if (metrics) {
           std::printf("%s", er.obs.metrics.ToTable().c_str());
@@ -252,13 +254,13 @@ int main(int argc, char** argv) {
       }
       if (overload) {
         std::printf("    overload: %llu injected, %llu inject-drops, %llu exhausted, "
-                    "%llu ring-drops, peak pool %llu, leaked %lld\n",
+                    "%llu ring-drops, peak pool %llu, leaked %llu\n",
                     static_cast<unsigned long long>(r.juggler.overload.injected_packets),
                     static_cast<unsigned long long>(r.juggler.overload.inject_alloc_drops),
                     static_cast<unsigned long long>(r.juggler.overload_pool_exhausted),
                     static_cast<unsigned long long>(r.juggler.overload_ring_drops),
                     static_cast<unsigned long long>(r.juggler.overload_peak_pool),
-                    static_cast<long long>(r.juggler.overload_pool_leaked));
+                    static_cast<unsigned long long>(r.juggler.overload_pool_leaked));
       }
       if (shards >= 1) {
         std::printf("    shards: %zu workers, %llu windows, %llu crossings;",

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/sim/shard_mailbox.h"
 #include "src/util/logging.h"
 
 namespace juggler {
@@ -39,7 +38,7 @@ void FaultStage::Accept(PacketPtr packet) {
   const FaultProfile* p = timeline_.ActiveAt(now);
   if (p == nullptr || !p->any()) {
     ++stats_.passed;
-    Forward(std::move(packet));
+    sink_->Accept(std::move(packet));
     return;
   }
 
@@ -85,11 +84,11 @@ void FaultStage::Accept(PacketPtr packet) {
     if (dup != nullptr) {
       ++stats_.duplicates;
       Trace(kFaultCodeDuplicate, *packet);
-      Forward(std::move(packet));
-      Forward(std::move(dup));
+      sink_->Accept(std::move(packet));
+      sink_->Accept(std::move(dup));
     } else {
       ++stats_.dup_pool_exhausted;
-      Forward(std::move(packet));
+      sink_->Accept(std::move(packet));
     }
     return;
   }
@@ -97,26 +96,13 @@ void FaultStage::Accept(PacketPtr packet) {
     const TimeNs spike = rng_.NextInRange(p->delay_min, p->delay_max);
     ++stats_.delayed;
     Trace(kFaultCodeDelay, *packet);
-    if (remote_ != nullptr) {
-      // The destination domain replays the spike as envelope extra.
-      remote_->Deliver(std::move(packet), spike);
-      return;
-    }
     PacketSink* sink = sink_;
     loop_->Schedule(spike,
                     [sink, p = std::move(packet)]() mutable { sink->Accept(std::move(p)); });
     return;
   }
   ++stats_.passed;
-  Forward(std::move(packet));
-}
-
-void FaultStage::Forward(PacketPtr packet) {
-  if (remote_ != nullptr) {
-    remote_->Deliver(std::move(packet), 0);
-  } else {
-    sink_->Accept(std::move(packet));
-  }
+  sink_->Accept(std::move(packet));
 }
 
 void PublishFaultStats(const FaultStats& stats, const std::string& label,

@@ -35,8 +35,6 @@
 
 namespace juggler {
 
-class RemoteEndpoint;
-
 // Fault intensities active within one timeline window. All probabilities are
 // per-packet Bernoulli trials; zero disables that fault class.
 struct FaultProfile {
@@ -143,12 +141,6 @@ class FaultStage : public PacketSink {
 
   void Accept(PacketPtr packet) override;
 
-  // Sharded operation: surviving packets (and duplicates) cross into another
-  // shard domain's mailbox; a delay spike rides as envelope extra instead of
-  // a local timer. Fault decisions and their RNG draw order are unchanged,
-  // so the same seed produces the same fault pattern either way.
-  void set_remote(RemoteEndpoint* remote) { remote_ = remote; }
-
   // Optional flight recorder: every applied fault emits a TraceKind::kFault
   // event. Null (the default) keeps tracing off the fault path.
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
@@ -160,9 +152,6 @@ class FaultStage : public PacketSink {
   uint64_t drops() const { return stats_.drops; }
 
  private:
-  // Immediate delivery to the local sink or the remote endpoint.
-  void Forward(PacketPtr packet);
-
   // Trace hook: one line per applied fault, gated on recorder_.
   void Trace(int code, const Packet& p) {
     if (recorder_ != nullptr) {
@@ -176,7 +165,6 @@ class FaultStage : public PacketSink {
   FaultTimeline timeline_;
   Rng rng_;
   PacketSink* sink_;
-  RemoteEndpoint* remote_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   int burst_remaining_ = 0;
   FaultStats stats_;

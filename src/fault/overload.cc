@@ -47,13 +47,9 @@ TimeNs OverloadDriver::pressure_end() const {
 void OverloadDriver::Start() {
   JUG_CHECK(!started_);
   started_ = true;
-  // Nominal caps for the whole run. Prior capacities are saved because the
-  // legacy chaos path caps the long-lived thread-local pool, which must not
-  // stay capped once this run is over.
-  prior_capacity_.clear();
-  for (PacketPool* pool : wiring_.pools) {
-    prior_capacity_.push_back(pool->capacity());
-    if (wiring_.pool_capacity != 0) {
+  // Nominal caps for the whole run.
+  if (wiring_.pool_capacity != 0) {
+    for (PacketPool* pool : wiring_.pools) {
       pool->set_capacity(wiring_.pool_capacity);
     }
   }
@@ -69,12 +65,6 @@ void OverloadDriver::Start() {
     }
     wiring_.loop->ScheduleAt(w.start, [this, i] { BeginWindow(i); });
     wiring_.loop->ScheduleAt(w.end, [this, i] { EndWindow(i); });
-  }
-}
-
-void OverloadDriver::Teardown() {
-  for (size_t i = 0; i < wiring_.pools.size() && i < prior_capacity_.size(); ++i) {
-    wiring_.pools[i]->set_capacity(prior_capacity_[i]);
   }
 }
 
@@ -172,8 +162,8 @@ OverloadAuditor::OverloadAuditor(std::string name, const OverloadWiring& wiring,
   for (const OverloadWindow& w : windows) {
     pressure_end_ = std::max(pressure_end_, w.end);
   }
-  // Baselines, not raw counters: the legacy path audits the long-lived
-  // thread-local pool, whose lifetime counters accumulate across runs.
+  // Baselines, not raw counters: the audit covers only what happens after
+  // it attaches, whatever the pools and stages served before.
   for (PacketPool* pool : wiring_.pools) {
     pool->ReconcileRemoteReleases();
     base_.push_back(PoolBaseline{pool->acquired(), pool->released(), pool->exhausted()});

@@ -99,9 +99,9 @@ struct OverloadWiring {
   const NicTxStats* receiver_tx = nullptr;
   const FaultStats* fault = nullptr;  // optional (null = no fault stage)
   // Every pool the run allocates from; all are capped at pool_capacity for
-  // the run. brownout_pool (an element of pools, or the single legacy TLS
-  // pool) is the one brown-out windows shrink mid-run: the receiver-owned
-  // pool, so the shrink happens on the thread that acquires from it.
+  // the run. brownout_pool (an element of pools) is the one brown-out
+  // windows shrink mid-run: the receiver-owned pool, so the shrink happens
+  // on the thread that acquires from it.
   std::vector<PacketPool*> pools;
   PacketPool* brownout_pool = nullptr;
   uint32_t target_ip = 0;      // injected packets' destination
@@ -114,15 +114,13 @@ struct OverloadWiring {
 };
 
 // Schedules the pressure windows and applies the capacity caps. Construct,
-// then Start() once before the run loop; Teardown() after the run restores
-// every pool's pre-run capacity (the legacy path shares the long-lived
-// thread-local pool, which must not stay capped after the run).
+// then Start() once before the run loop. The caps stay on the wired pools,
+// which the run owns.
 class OverloadDriver {
  public:
   OverloadDriver(std::vector<OverloadWindow> windows, const OverloadWiring& wiring);
 
   void Start();
-  void Teardown();
 
   const OverloadStats& stats() const { return stats_; }
   // Latest pressure-window end, or 0 when no windows are configured.
@@ -137,7 +135,6 @@ class OverloadDriver {
   std::vector<OverloadWindow> windows_;
   OverloadWiring wiring_;
   OverloadStats stats_;
-  std::vector<size_t> prior_capacity_;  // per wiring_.pools entry, for Teardown
   size_t nominal_ring_ = 0;
   uint32_t next_churn_ip_ = 0;
   bool started_ = false;

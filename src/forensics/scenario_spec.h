@@ -48,7 +48,8 @@ struct ScenarioSpec {
   // stay byte-identical).
   RxDriverKind rx_driver = RxDriverKind::kRss;
 
-  // Execution shape. shards == 0 is the legacy single event loop.
+  // Execution shape (ChaosOptions::shards): 0 runs the testbed as one
+  // domain, N >= 1 as one domain per host on up to N workers.
   uint64_t shards = 0;
   uint64_t shard_mailbox_capacity = 0;
   // Oracle: additionally run the juggler engine at --shards 1 and

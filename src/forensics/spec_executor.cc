@@ -137,8 +137,8 @@ SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
       o1.shards = 1;
       ChaosOptions o2 = opt;
       o2.shards = 2;
-      rep.digest_shard1 = RunChaosEngine(o1, /*use_juggler=*/true).digest;
-      rep.digest_shard2 = RunChaosEngine(o2, /*use_juggler=*/true).digest;
+      rep.digest_shard1 = RunChaosEngineStack(o1, StackKind::kJuggler).digest;
+      rep.digest_shard2 = RunChaosEngineStack(o2, StackKind::kJuggler).digest;
       rep.diverged = rep.digest_shard1 != rep.digest_shard2;
     }
   } catch (const std::exception& e) {
@@ -153,7 +153,7 @@ Json CollectSpecObs(const ScenarioSpec& spec) {
   opt.obs.metrics = true;
   opt.obs.trace = true;
   try {
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
     obs.Set("metrics", r.obs.MetricsJson());
     obs.Set("trace", r.obs.TraceJson(ChaosTraceNamer()));
   } catch (const std::exception& e) {

@@ -37,7 +37,7 @@ struct SpecRunReport {
   bool diverged = false;
   std::string exception;        // what() of an escaped std::exception
   // Sharded-engine mailbox pressure, routed through the metrics registry so
-  // repro bundles carry it (zero when the spec ran the legacy engine).
+  // repro bundles carry it (zero when the spec ran as one domain).
   uint64_t mailbox_hwm = 0;
   uint64_t mailbox_overflows = 0;
   // Application-workload evidence (all zero when the spec runs the classic

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/sim/shard_mailbox.h"
 #include "src/util/logging.h"
 
 namespace juggler {
@@ -121,10 +120,7 @@ void Link::OnTransmitDone() {
   ++stats_.packets_tx;
   stats_.bytes_tx += static_cast<uint64_t>(wire);
   transmitting_ = false;
-  if (remote_ != nullptr) {
-    // The cross-shard crossing carries the propagation delay; no local timer.
-    remote_->Deliver(std::move(packet), 0);
-  } else if (config_.propagation_delay > 0) {
+  if (config_.propagation_delay > 0) {
     // Hand the packet off after flight time; the move-only callback owns the
     // packet in flight (freed if the loop is destroyed first).
     PacketSink* sink = sink_;

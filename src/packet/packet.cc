@@ -42,6 +42,22 @@ void PacketPool::Trim() {
   compact_last_acquired_ = acquired_;
 }
 
+void PacketPool::MoveFreeStorageTo(PacketPool* to) {
+  if (to == this) {
+    return;
+  }
+  DrainRemote();
+  if (to->free_.empty()) {
+    to->free_.swap(free_);
+  } else {
+    to->free_.insert(to->free_.end(), free_.begin(), free_.end());
+    free_.clear();
+  }
+  if (to->free_.size() >= to->compact_watermark_) {
+    to->CompactFreeList();
+  }
+}
+
 void PacketPool::ReleaseRemote(Packet* p) noexcept {
   Packet* head = remote_free_.load(std::memory_order_relaxed);
   do {

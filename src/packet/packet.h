@@ -337,6 +337,13 @@ class PacketPool {
   // unaffected; they re-enter the (now empty) freelist when released.
   void Trim();
 
+  // Hands this pool's idle storage (freelist and return stack) to `to`,
+  // which compacts it to its watermark. Storage carries no ledger state:
+  // the next Acquire re-stamps the origin. A one-domain ShardedEngine
+  // borrows the calling thread's storage this way, so an engine per run
+  // recycles packets like one long-lived pool instead of reallocating them.
+  void MoveFreeStorageTo(PacketPool* to);
+
   // --- Bounded-resource operation (overload resilience) ---------------------
   //
   // Occupancy is tracked as (acquired - released), never by freelist size:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -82,8 +81,7 @@ std::string EngineName(const ChaosOptions& opt, StackKind stack) {
   return "?";
 }
 
-// The NetFPGA options a chaos run uses, shared by the legacy and sharded
-// execution paths so both subject packets to the same fault schedule.
+// The NetFPGA options a chaos run uses.
 NetFpgaOptions ChaosTestbedOptions(const ChaosOptions& opt, StackKind stack, AuditLog* log,
                                    FlightRecorder* sender_rec, FlightRecorder* receiver_rec) {
   NetFpgaOptions nopt;
@@ -141,37 +139,10 @@ std::unique_ptr<LinkFlapper> MaybeStartFlapper(const ChaosOptions& opt, EventLoo
   return flapper;
 }
 
-// Overload wiring shared by both execution paths. The differences are the
-// loop/factory (receiver domain vs scenario-wide) and which pools get capped
-// (both domain pools vs the single ambient thread-local pool).
-OverloadWiring MakeOverloadWiring(const ChaosOptions& opt, EventLoop* loop,
-                                  PacketFactory* factory, Host* sender, Host* receiver,
-                                  FaultStage* fault, std::vector<PacketPool*> pools,
-                                  PacketPool* brownout_pool,
-                                  std::function<uint64_t()> executed_events) {
-  OverloadWiring w;
-  w.loop = loop;
-  w.inject = receiver->wire_in();
-  w.factory = factory;
-  w.receiver_nic = receiver->nic_rx();
-  w.sender_tx = &sender->nic_tx()->stats();
-  w.receiver_tx = &receiver->nic_tx()->stats();
-  w.fault = fault != nullptr ? &fault->stats() : nullptr;
-  w.pools = std::move(pools);
-  w.brownout_pool = brownout_pool;
-  w.target_ip = receiver->ip();
-  w.pool_capacity = opt.overload.pool_capacity;
-  w.ring_capacity = opt.overload.ring_capacity;
-  w.gro_flow_cap = opt.max_flows;
-  w.executed_events = std::move(executed_events);
-  return w;
-}
-
-// Per-layer metrics snapshot, taken after the run completes (and, on the
-// sharded path, after the workers have joined — the registry needs no
-// atomics). Everything published here is invariant across worker counts.
-template <typename Testbed>
-void PublishChaosMetrics(const Testbed* t, const EndpointPair* pair, LinkFlapper* flapper,
+// Per-layer metrics snapshot, taken after the run completes and the workers
+// have joined (the registry needs no atomics). Everything published here is
+// invariant across worker counts.
+void PublishChaosMetrics(const NetFpgaTestbed* t, const EndpointPair* pair, LinkFlapper* flapper,
                          StackKind stack, const AppHarness* app, MetricsRegistry* m) {
   PublishNicRxStats(t->sender->nic_rx()->stats(), "sender", m);
   PublishNicRxStats(t->receiver->nic_rx()->stats(), "receiver", m);
@@ -222,13 +193,11 @@ void PublishChaosMetrics(const Testbed* t, const EndpointPair* pair, LinkFlapper
   }
 }
 
-// Result assembly + digest, identical for both execution paths (the testbed
-// types expose the same member names). Exactly one of `integrity` (raw bulk
-// transfer) and `app` (application workload) is non-null; for app runs the
-// completion oracle is "no request was left hanging" and the auditor's
-// FinalCheck (inside AppHarness::Finish) stands in for the byte total.
-template <typename Testbed>
-void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlapper* flapper,
+// Result assembly + digest. Exactly one of `integrity` (raw bulk transfer)
+// and `app` (application workload) is non-null; for app runs the completion
+// oracle is "no request was left hanging" and the auditor's FinalCheck
+// (inside AppHarness::Finish) stands in for the byte total.
+void FinishRun(const ChaosOptions& opt, NetFpgaTestbed* t, EndpointPair* pair, LinkFlapper* flapper,
                StreamIntegrityChecker* integrity, AppHarness* app, OverloadDriver* ovl,
                OverloadAuditor* ovl_audit, AuditLog* log, StackKind stack, TimeNs finish_time,
                ChaosEngineResult* r) {
@@ -319,8 +288,7 @@ void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlap
   // Overload counters join the digest only for overload runs (same gating
   // pattern as the app counters): every pre-overload digest stays
   // bit-identical, and an overload digest must reproduce across shard
-  // counts. Raw pool lifetime counters stay OUT — the legacy thread-local
-  // pool accumulates them across in-process runs; only deltas digest.
+  // counts. Pool counters digest as deltas from when the auditor attached.
   if (ovl_audit != nullptr) {
     d.Mix(r->overload.windows_started);
     d.Mix(r->overload.windows_ended);
@@ -354,23 +322,43 @@ void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlap
   }
 }
 
-// Sharded execution: same scenario, same fault schedule, run on the
-// conservative-lookahead engine with up to opt.shards workers.
-ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) {
+}  // namespace
+
+// Satellite of the overload family: a run that applies overload pressure
+// against links with no queue bound would hide every queue-growth pathology
+// inside an infinitely elastic buffer — flag it as a setup bug.
+void CheckLinksBounded(std::initializer_list<const Link*> links, const std::string& engine,
+                       AuditLog* log) {
+  for (const Link* link : links) {
+    if (link != nullptr && link->queue_limit_bytes() <= 0) {
+      log->Violation(engine + "/overload", "link " + link->name() +
+                                               " has no queue bound while overload faults "
+                                               "are active");
+    }
+  }
+}
+
+ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) {
   ChaosEngineResult r;
   r.engine = EngineName(opt, stack);
 
-  // One flight recorder per shard domain, so workers write without any
-  // synchronization: sender-domain components (NIC, fault stage) record as
-  // shard 0, receiver-domain as shard 1. Declared before the engine so they
-  // outlive everything holding a pointer.
+  // shards=0 runs the testbed as one domain; shards>=1 gives the sender and
+  // the receiver a domain each, run by up to opt.shards workers.
+  const size_t num_domains = opt.shards == 0 ? 1 : 2;
+
+  // One flight recorder per domain, so workers write without any
+  // synchronization: the sender's domain records as shard 0, the
+  // receiver's (NIC and switch stages) as the last. Declared before the
+  // engine so they outlive everything holding a pointer.
   std::vector<std::unique_ptr<FlightRecorder>> recorders;
   if (opt.obs.trace) {
-    recorders.push_back(std::make_unique<FlightRecorder>(0, opt.obs.trace_capacity));
-    recorders.push_back(std::make_unique<FlightRecorder>(1, opt.obs.trace_capacity));
+    for (size_t i = 0; i < num_domains; ++i) {
+      recorders.push_back(
+          std::make_unique<FlightRecorder>(static_cast<uint32_t>(i), opt.obs.trace_capacity));
+    }
   }
-  FlightRecorder* sender_rec = opt.obs.trace ? recorders[0].get() : nullptr;
-  FlightRecorder* receiver_rec = opt.obs.trace ? recorders[1].get() : nullptr;
+  FlightRecorder* sender_rec = opt.obs.trace ? recorders.front().get() : nullptr;
+  FlightRecorder* receiver_rec = opt.obs.trace ? recorders.back().get() : nullptr;
 
   AuditLog log;
   NetFpgaOptions nopt = ChaosTestbedOptions(opt, stack, &log, sender_rec, receiver_rec);
@@ -380,32 +368,48 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
   ShardedEngine engine(opt.shards);
   engine.set_mailbox_capacity(opt.shard_mailbox_capacity);
   CpuCostModel costs;
+  const Partition partition = num_domains == 1 ? Partition::OneDomain(&engine, "netfpga")
+                                               : Partition::PerNode(&engine);
   // Held in an optional so overload runs can tear the fabric down early and
   // measure leaked packets while the engine (and its pools) still live.
-  std::optional<ShardedNetFpgaTestbed> t_opt(BuildShardedNetFpga(&engine, &costs, nopt));
-  ShardedNetFpgaTestbed& t = *t_opt;
+  std::optional<NetFpgaTestbed> t_opt(BuildNetFpga(partition, &costs, nopt));
+  NetFpgaTestbed& t = *t_opt;
   if (t.fault != nullptr) {
-    t.fault->set_recorder(sender_rec);  // the fault stage runs sender-side
+    t.fault->set_recorder(receiver_rec);
   }
 
   std::unique_ptr<LinkFlapper> flapper =
-      MaybeStartFlapper(opt, &t.sender_domain->loop(), t.fwd_link);
+      MaybeStartFlapper(opt, t.sender_domain.loop, t.fwd_link);
 
   std::unique_ptr<OverloadDriver> ovl;
   std::unique_ptr<OverloadAuditor> ovl_audit;
   if (opt.overload.enabled()) {
     CheckLinksBounded({t.fwd_link, t.rev_link}, r.engine, &log);
-    ShardedEngine* eng = &engine;
-    OverloadWiring w = MakeOverloadWiring(
-        opt, &t.receiver_domain->loop(), &t.receiver_domain->factory(), t.sender, t.receiver,
-        t.fault, {&t.sender_domain->pool(), &t.receiver_domain->pool()},
-        &t.receiver_domain->pool(), [eng] {
-          uint64_t total = 0;
-          for (size_t i = 0; i < eng->domain_count(); ++i) {
-            total += eng->domain(i)->executed_events();
-          }
-          return total;
-        });
+    // The driver runs on the receiver's loop. Every domain pool is capped;
+    // brown-outs shrink the receiver's.
+    OverloadWiring w;
+    w.loop = t.receiver_domain.loop;
+    w.inject = t.receiver->wire_in();
+    w.factory = t.receiver_domain.factory;
+    w.receiver_nic = t.receiver->nic_rx();
+    w.sender_tx = &t.sender->nic_tx()->stats();
+    w.receiver_tx = &t.receiver->nic_tx()->stats();
+    w.fault = t.fault != nullptr ? &t.fault->stats() : nullptr;
+    for (size_t i = 0; i < engine.domain_count(); ++i) {
+      w.pools.push_back(&engine.domain(i)->pool());
+    }
+    w.brownout_pool = &t.receiver_domain.shard->pool();
+    w.target_ip = t.receiver->ip();
+    w.pool_capacity = opt.overload.pool_capacity;
+    w.ring_capacity = opt.overload.ring_capacity;
+    w.gro_flow_cap = opt.max_flows;
+    w.executed_events = [eng = &engine] {
+      uint64_t total = 0;
+      for (size_t i = 0; i < eng->domain_count(); ++i) {
+        total += eng->domain(i)->executed_events();
+      }
+      return total;
+    };
     ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
     ovl->Start();
     ovl_audit =
@@ -423,6 +427,7 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
     explicit PoolStamp(PacketPool* pool) : prev(PacketPool::SwapThreadPool(pool)) {}
     ~PoolStamp() { PacketPool::SwapThreadPool(prev); }
   };
+  PacketPool* sender_pool = &t.sender_domain.shard->pool();
 
   std::unique_ptr<StreamIntegrityChecker> integrity;
   std::unique_ptr<AppHarness> app;
@@ -432,14 +437,14 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
     AppHarnessWiring wiring;
     wiring.a = t.sender;
     wiring.b = t.receiver;
-    wiring.a_loop = &t.sender_domain->loop();
-    wiring.b_loop = &t.receiver_domain->loop();
+    wiring.a_loop = t.sender_domain.loop;
+    wiring.b_loop = t.receiver_domain.loop;
     wiring.a_rec = sender_rec;
     wiring.b_rec = receiver_rec;
     wiring.log = &log;
     wiring.name = r.engine;
     {
-      PoolStamp stamp(&t.sender_domain->pool());
+      PoolStamp stamp(sender_pool);
       app = std::make_unique<AppHarness>(opt.app, wiring, opt.seed * 1000003ULL + 7);
       pair = app->primary();
       app->Start();
@@ -453,7 +458,7 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
     }
   } else {
     {
-      PoolStamp stamp(&t.sender_domain->pool());
+      PoolStamp stamp(sender_pool);
       pair = ConnectHosts(t.sender, t.receiver, 1000, 2000);
       integrity = std::make_unique<StreamIntegrityChecker>(r.engine + "/stream", &log);
       integrity->Attach(pair.b_to_a);
@@ -492,7 +497,9 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
     r.shard_names.push_back(engine.domain(i)->name());
     r.shard_events.push_back(engine.domain(i)->executed_events());
   }
-  if (opt.obs.metrics) {
+  // A one-domain run has no crossings or mailboxes to report, and its
+  // metrics stay exactly what the single loop published.
+  if (opt.obs.metrics && opt.shards >= 1) {
     PublishShardedEngineStats(&engine, &r.obs.metrics);
   }
   if (opt.obs.trace) {
@@ -508,136 +515,13 @@ ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) 
   // frees mailbox contents and timer-riding packets), then any outstanding
   // remainder across the domain pools is storage the stack lost track of.
   if (ovl_audit != nullptr) {
-    ovl->Teardown();
     app.reset();
     integrity.reset();
     flapper.reset();
     pair = EndpointPair{};
     t_opt.reset();
     engine.ReleaseResidualPackets();
-    r.overload_pool_leaked = static_cast<int64_t>(ovl_audit->MeasureLeakedPackets());
-  }
-  return r;
-}
-
-}  // namespace
-
-// Satellite of the overload family: a run that applies overload pressure
-// against links with no queue bound would hide every queue-growth pathology
-// inside an infinitely elastic buffer — flag it as a setup bug.
-void CheckLinksBounded(std::initializer_list<const Link*> links, const std::string& engine,
-                       AuditLog* log) {
-  for (const Link* link : links) {
-    if (link != nullptr && link->queue_limit_bytes() <= 0) {
-      log->Violation(engine + "/overload", "link " + link->name() +
-                                               " has no queue bound while overload faults "
-                                               "are active");
-    }
-  }
-}
-
-ChaosEngineResult RunChaosEngine(const ChaosOptions& opt, bool use_juggler) {
-  return RunChaosEngineStack(opt, use_juggler ? StackKind::kJuggler : StackKind::kVanilla);
-}
-
-ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) {
-  if (opt.shards >= 1) {
-    return RunOneEngineSharded(opt, stack);
-  }
-  ChaosEngineResult r;
-  r.engine = EngineName(opt, stack);
-
-  // Legacy single-loop execution: one recorder (shard 0) covers everything.
-  std::unique_ptr<FlightRecorder> recorder;
-  if (opt.obs.trace) {
-    recorder = std::make_unique<FlightRecorder>(0, opt.obs.trace_capacity);
-  }
-
-  SimWorld world;
-  AuditLog log;
-  NetFpgaOptions nopt =
-      ChaosTestbedOptions(opt, stack, &log, recorder.get(), recorder.get());
-
-  NetFpgaTestbed t = BuildNetFpga(&world, nopt);
-  if (t.fault != nullptr) {
-    t.fault->set_recorder(recorder.get());
-  }
-
-  std::unique_ptr<LinkFlapper> flapper =
-      MaybeStartFlapper(opt, &world.loop, t.fwd_link);
-
-  std::unique_ptr<OverloadDriver> ovl;
-  std::unique_ptr<OverloadAuditor> ovl_audit;
-  if (opt.overload.enabled()) {
-    CheckLinksBounded({t.fwd_link, t.rev_link}, r.engine, &log);
-    // One ambient thread-local pool serves the whole legacy world; the
-    // driver's Teardown() must restore its capacity — it outlives the run.
-    EventLoop* loop = &world.loop;
-    OverloadWiring w = MakeOverloadWiring(
-        opt, loop, &world.factory, t.sender, t.receiver, t.fault,
-        {&PacketPool::ThreadLocal()}, &PacketPool::ThreadLocal(),
-        [loop] { return loop->executed_events(); });
-    ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
-    ovl->Start();
-    ovl_audit =
-        std::make_unique<OverloadAuditor>(r.engine + "/overload", w, opt.overload.windows, &log);
-  }
-
-  std::unique_ptr<StreamIntegrityChecker> integrity;
-  std::unique_ptr<AppHarness> app;
-  EndpointPair pair;
-  if (opt.app.enabled()) {
-    AppHarnessWiring wiring;
-    wiring.a = t.sender;
-    wiring.b = t.receiver;
-    wiring.a_loop = &world.loop;
-    wiring.b_loop = &world.loop;
-    wiring.a_rec = recorder.get();
-    wiring.b_rec = recorder.get();
-    wiring.log = &log;
-    wiring.name = r.engine;
-    app = std::make_unique<AppHarness>(opt.app, wiring, opt.seed * 1000003ULL + 7);
-    pair = app->primary();
-    app->Start();
-    while (world.loop.now() < opt.time_limit && !app->Done()) {
-      world.loop.RunUntil(world.loop.now() + Ms(10));
-      if (ovl_audit != nullptr) {
-        ovl_audit->Probe(world.loop.now(), pair.b_to_a->bytes_delivered());
-      }
-    }
-  } else {
-    pair = ConnectHosts(t.sender, t.receiver, 1000, 2000);
-    integrity = std::make_unique<StreamIntegrityChecker>(r.engine + "/stream", &log);
-    integrity->Attach(pair.b_to_a);
-    integrity->set_expected_bytes(opt.transfer_bytes);
-    pair.a_to_b->Send(opt.transfer_bytes);
-    while (world.loop.now() < opt.time_limit &&
-           pair.b_to_a->bytes_delivered() < opt.transfer_bytes) {
-      world.loop.RunUntil(world.loop.now() + Ms(10));
-      if (ovl_audit != nullptr) {
-        ovl_audit->Probe(world.loop.now(), pair.b_to_a->bytes_delivered());
-      }
-    }
-  }
-  // Let the tail drain (final ACKs, pending GRO flushes, late duplicates).
-  // As on the sharded path: run past the last overload window before the
-  // auditor asserts quiescence.
-  TimeNs drain_until = world.loop.now() + Ms(5);
-  if (ovl != nullptr) {
-    drain_until = std::max(drain_until, ovl->pressure_end() + Ms(5));
-  }
-  world.loop.RunUntil(drain_until);
-
-  FinishRun(opt, &t, &pair, flapper.get(), integrity.get(), app.get(), ovl.get(),
-            ovl_audit.get(), &log, stack, world.loop.now(), &r);
-  if (ovl != nullptr) {
-    // Un-cap the long-lived thread-local pool; the leak measurement stays
-    // sharded-only (the legacy world cannot be torn down before `t` dies).
-    ovl->Teardown();
-  }
-  if (opt.obs.trace) {
-    r.obs.trace_dropped = recorder->dropped();
-    r.obs.events = MergeTraces({recorder.get()});
+    r.overload_pool_leaked = ovl_audit->MeasureLeakedPackets();
   }
   return r;
 }
@@ -775,8 +659,8 @@ std::vector<FlapWindow> DeriveChaosFlaps(const ChaosOptions& options) {
 
 ChaosResult RunChaos(const ChaosOptions& options) {
   ChaosResult result;
-  result.juggler = RunChaosEngine(options, /*use_juggler=*/true);
-  result.baseline = RunChaosEngine(options, /*use_juggler=*/false);
+  result.juggler = RunChaosEngineStack(options, StackKind::kJuggler);
+  result.baseline = RunChaosEngineStack(options, StackKind::kVanilla);
   if (options.app.enabled()) {
     // App workloads put engine-dependent byte totals on the wire (retries
     // are timing dependent), so the raw byte comparison does not apply; the

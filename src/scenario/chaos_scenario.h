@@ -52,9 +52,9 @@ const char* FaultFamilyName(FaultFamily family);
 bool ParseFaultFamily(const char* name, FaultFamily* out);
 
 // Which receive stack a chaos run puts under test. kJuggler and kVanilla
-// are the historical pair RunChaos compares differentially; kPresto (the
-// linked-list Presto-paper GRO variant) is reachable through
-// RunChaosEngineStack for stack-matrix soaks.
+// are the pair RunChaos compares differentially; kPresto (the linked-list
+// Presto-paper GRO variant) is reachable through RunChaosEngineStack for
+// stack-matrix soaks.
 enum class StackKind : int {
   kJuggler = 0,
   kVanilla,
@@ -75,12 +75,13 @@ struct ChaosOptions {
   int num_windows = 3;
   // Wrap Juggler in the structural invariant auditor.
   bool audit = true;
-  // Shard-parallel execution. 0 = the legacy single event loop (bit-for-bit
-  // the historical behavior). N >= 1 runs the scenario on the ShardedEngine
-  // with up to N worker threads; every N >= 1 produces byte-identical
-  // digests (the worker count only changes which thread runs which domain),
-  // but sharded digests may differ from shards=0 because mid-pipeline
-  // stages observe clocks shifted by the wire's propagation delay.
+  // How the run is partitioned and parallelized; every run executes on the
+  // ShardedEngine. 0 = the whole testbed in one domain (bit-for-bit the
+  // historical single-loop run). N >= 1 = one domain per host (the switch's
+  // stages ride with the receiver), run by up to N worker threads; every
+  // N >= 1 produces byte-identical digests, since the worker count only
+  // changes which thread runs which domain. Stream digests match shards=0;
+  // run digests can differ from it by same-timestamp tie order.
   size_t shards = 0;
   // Per-(src,dst) shard-mailbox capacity; 0 = ShardMailbox default fuse.
   size_t shard_mailbox_capacity = 0;
@@ -169,9 +170,9 @@ struct ChaosEngineResult {
   uint64_t overload_peak_pool = 0;   // peak pool occupancy delta observed
   uint64_t overload_pool_exhausted = 0;  // refused allocations (all pools)
   uint64_t overload_ring_drops = 0;      // receiver ring tail drops
-  // Packets still outstanding after full teardown (sharded runs only;
-  // -1 = not measured). Zero is the no-leak proof.
-  int64_t overload_pool_leaked = -1;
+  // Packets still outstanding after full teardown. Zero is the no-leak
+  // proof.
+  uint64_t overload_pool_leaked = 0;
   // FNV-1a over the run's observable counters: same seed + options must
   // reproduce this bit-identically.
   uint64_t digest = 0;
@@ -184,9 +185,9 @@ struct ChaosEngineResult {
   // that equality is the rx-conformance oracle. Deliberately NOT mixed into
   // `digest` so historical digests stay bit-identical.
   uint64_t stream_digest = 0;
-  // Sharded-engine execution detail (all zero/empty when shards == 0).
-  // Deliberately outside the digest: windows and crossings are shard-count
-  // invariant anyway, workers and barrier waits are not meant to be.
+  // Sharded-engine execution detail. Deliberately outside the digest:
+  // windows and crossings are shard-count invariant anyway, workers and
+  // barrier waits are not meant to be.
   size_t shard_workers = 0;
   uint64_t shard_windows = 0;
   uint64_t shard_crossings = 0;
@@ -233,16 +234,12 @@ std::vector<FlapWindow> DeriveChaosFlaps(const ChaosOptions& options);
 
 ChaosResult RunChaos(const ChaosOptions& options);
 
-// One engine's half of RunChaos: the bulk transfer (or app workload) under
-// the configured fault schedule, with invariant checking, returning the
-// full per-run result (digest included). The forensics executor calls this
-// directly so it can run the same spec at different shard counts and diff
-// the digests.
-ChaosEngineResult RunChaosEngine(const ChaosOptions& options, bool use_juggler);
-
-// Same run against an arbitrary stack (RunChaosEngine is the kJuggler /
-// kVanilla special case): the stack-matrix soaks drive
-// {juggler, vanilla, presto} x workload through this.
+// One engine's half of RunChaos (kJuggler or kVanilla), or any other stack:
+// the bulk transfer (or app workload) under the configured fault schedule,
+// with invariant checking, returning the full per-run result (digest
+// included). The forensics executor calls this directly so it can run the
+// same spec at different shard counts and diff the digests; the
+// stack-matrix soaks drive {juggler, vanilla, presto} x workload through it.
 ChaosEngineResult RunChaosEngineStack(const ChaosOptions& options, StackKind stack);
 
 // The TraceNamer that decodes chaos-run trace events with the repo's own

@@ -11,11 +11,20 @@
 //
 // A SimWorld owns the event loop, packet factory and CPU cost model; a
 // Fabric owns every network component so benches keep a single object alive.
+//
+// Each topology has one builder body, and its Partition says where the
+// nodes (hosts, switches) run: all in one domain (a SimWorld, or a single
+// ShardDomain), or each in its own ShardDomain of a ShardedEngine. Only
+// links cross between domains: a crossing link delivers into the engine's
+// mailbox, and the crossing carries its propagation delay. The NetFPGA
+// switch's stages run with the receiver, so its forward wire is the
+// crossing.
 
 #ifndef JUGGLER_SRC_SCENARIO_TOPOLOGIES_H_
 #define JUGGLER_SRC_SCENARIO_TOPOLOGIES_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/fault/fault_stage.h"
@@ -32,6 +41,41 @@ struct SimWorld {
   EventLoop loop;
   PacketFactory factory;
   CpuCostModel costs;
+};
+
+// Where one node's components run: the loop and factory they are built
+// against, and the shard domain owning both (null in a SimWorld).
+struct NodeDomain {
+  EventLoop* loop = nullptr;
+  PacketFactory* factory = nullptr;
+  ShardDomain* shard = nullptr;
+};
+
+struct Fabric;
+
+// How a builder maps nodes onto domains. Under PerNode every Place() adds a
+// domain, so placement order is domain order, which fixes worker
+// assignment and the mailbox tie-break order.
+class Partition {
+ public:
+  // Every node on the world's loop and factory.
+  static Partition OneDomain(SimWorld* world);
+  // Every node on one new domain of `engine`.
+  static Partition OneDomain(ShardedEngine* engine, std::string name);
+  // One new domain of `engine` per node.
+  static Partition PerNode(ShardedEngine* engine);
+
+  NodeDomain Place(std::string node) const;
+
+  // A link driven from `from` into `sink`, which runs in `to`. Within one
+  // domain the link's flight timer carries the propagation delay; across
+  // domains the link hands packets to a crossing that carries it instead.
+  Link* AddLink(Fabric* fabric, const NodeDomain& from, const NodeDomain& to, std::string name,
+                LinkConfig config, PacketSink* sink) const;
+
+ private:
+  ShardedEngine* engine_ = nullptr;  // set for PerNode only
+  NodeDomain shared_;                // the OneDomain domain
 };
 
 // Owns network components; hosts/switches/links stay valid for its lifetime.
@@ -62,13 +106,6 @@ struct Fabric {
     links.push_back(std::make_unique<Link>(loop, std::move(name), config, sink));
     return links.back().get();
   }
-  Host* AddHost(SimWorld* world, const HostConfig& config, PacketSink* wire_out) {
-    hosts.push_back(
-        std::make_unique<Host>(&world->loop, &world->factory, &world->costs, config, wire_out));
-    return hosts.back().get();
-  }
-  // Sharded variant: the host runs on a shard domain's loop and factory
-  // instead of a scenario-wide SimWorld's.
   Host* AddHost(EventLoop* loop, PacketFactory* factory, const CpuCostModel* costs,
                 const HostConfig& config, PacketSink* wire_out) {
     hosts.push_back(std::make_unique<Host>(loop, factory, costs, config, wire_out));
@@ -90,7 +127,7 @@ struct NetFpgaOptions {
   // (chaos runs flag that as a setup bug when overload faults are active).
   int64_t host_link_queue_bytes = 16'000'000;
   // Fault-injection schedule applied receiver-side, nearest the NIC (after
-  // the reorder and legacy drop stages). Empty = no fault stage.
+  // the reorder and drop stages). Empty = no fault stage.
   FaultTimeline faults;
   uint64_t seed = 1;
   HostConfig sender;
@@ -99,6 +136,8 @@ struct NetFpgaOptions {
 
 struct NetFpgaTestbed {
   Fabric fabric;
+  NodeDomain sender_domain;
+  NodeDomain receiver_domain;  // also runs the switch's stages
   Host* sender = nullptr;
   Host* receiver = nullptr;
   DropStage* drop = nullptr;
@@ -110,28 +149,12 @@ struct NetFpgaTestbed {
 
 NetFpgaTestbed BuildNetFpga(SimWorld* world, NetFpgaOptions options);
 
-// The same testbed partitioned into two shard domains (sender side, receiver
-// side) for the ShardedEngine. Element order, seeds and packet arrival times
-// at either NIC match BuildNetFpga exactly; the wire's propagation delay is
-// carried by the cross-domain crossing instead of a local flight timer, so
-// the mid-pipeline stages run `base_delay` earlier on their local clocks.
-// `engine` and `costs` must outlive the returned testbed (declare them
-// first: the fabric's teardown releases packets into the engine's pools).
-struct ShardedNetFpgaTestbed {
-  Fabric fabric;
-  ShardDomain* sender_domain = nullptr;
-  ShardDomain* receiver_domain = nullptr;
-  Host* sender = nullptr;
-  Host* receiver = nullptr;
-  DropStage* drop = nullptr;
-  ReorderStage* reorder = nullptr;
-  FaultStage* fault = nullptr;
-  Link* fwd_link = nullptr;
-  Link* rev_link = nullptr;
-};
-
-ShardedNetFpgaTestbed BuildShardedNetFpga(ShardedEngine* engine, const CpuCostModel* costs,
-                                          NetFpgaOptions options);
+// The builder body. Under PerNode the sender and receiver get a domain
+// each, in that order. An engine behind `partition` and `costs` must outlive
+// the returned testbed (declare them first: the fabric's teardown releases
+// packets into the engine's pools).
+NetFpgaTestbed BuildNetFpga(const Partition& partition, const CpuCostModel* costs,
+                            NetFpgaOptions options);
 
 // ------------------------------------------------------------------- Clos --
 
@@ -169,24 +192,12 @@ struct ClosTestbed {
 
 ClosTestbed BuildClos(SimWorld* world, ClosOptions options);
 
-// The Clos fabric partitioned one-domain-per-host plus one domain per
-// switch (each switch is pinned with its outbound links, which it drives
-// synchronously). Every link whose far end lives in another domain crosses
-// through a mailbox with latency = link_prop, so the engine's lookahead is
-// the fabric's propagation delay. `engine` and `costs` must outlive the
-// returned testbed.
-struct ShardedClosTestbed {
-  Fabric fabric;
-  std::vector<Host*> left_hosts;
-  std::vector<Host*> right_hosts;
-  Switch* tor_a = nullptr;
-  Switch* tor_b = nullptr;
-  std::vector<Link*> tor_a_uplinks;
-  std::vector<Link*> tor_b_uplinks;
-  // Domains: [tor_a, tor_b, spines..., left hosts..., right hosts...].
-  std::vector<ShardDomain*> domains;
-};
-
+// The same fabric with one domain per host and per switch: [tor_a, tor_b,
+// spines..., left hosts..., right hosts...]. Each switch drives its outbound
+// links, and every link crosses with latency link_prop, so the engine's
+// lookahead is the fabric's propagation delay. `engine` and `costs` must
+// outlive the returned testbed.
+using ShardedClosTestbed = ClosTestbed;
 ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* costs,
                                     ClosOptions options);
 

@@ -9,12 +9,10 @@
 // no atomics — the synchronization lives in the barrier, which is what makes
 // the whole handoff TSan-clean and cheap (a plain vector push per crossing).
 //
-// A RemoteEndpoint is the producer-side façade a pipeline stage (Link,
-// ReorderStage, FaultStage) writes to instead of calling a local PacketSink:
-// it stamps each packet with its absolute arrival time — source-domain now,
-// plus the remainder of the wire's propagation delay that the crossing
-// stands in for, plus any stage-specific extra (reorder lane offset, fault
-// delay spike). The endpoint's `latency` must be > 0: it is the lower bound
+// A RemoteEndpoint is the sink a link whose far end runs in another domain
+// delivers into: it stamps each packet with its absolute arrival time —
+// source-domain now plus the wire's propagation delay, which the crossing
+// stands in for. The endpoint's `latency` must be > 0: it is the lower bound
 // the engine's conservative lookahead is derived from, so a packet emitted
 // at local time t can only ever arrive at t + latency, strictly inside the
 // *next* window — the no-causality-violation invariant of a conservative
@@ -99,15 +97,10 @@ class ShardMailbox {
   uint64_t overflow_drops_ = 0;
 };
 
-// Producer-side delivery target for a stage whose next element lives in
+// Producer-side delivery target for a link whose next element lives in
 // another shard domain. Holds the mailbox toward that domain, the arrival
 // sink within it, the source domain's clock, and the wire latency this
 // crossing stands in for.
-//
-// Doubles as a PacketSink so stages that only know how to Accept() (the tail
-// of a chain) can point straight at it; stages that add their own offset
-// (reorder lane delay, fault delay spike) call Deliver(packet, extra)
-// directly.
 class RemoteEndpoint : public PacketSink {
  public:
   // `latency` is the share of the wire's propagation delay carried by the
@@ -125,15 +118,11 @@ class RemoteEndpoint : public PacketSink {
 
   TimeNs latency() const { return latency_; }
 
-  // Enqueue `packet` to arrive at src-now + latency + extra. `extra` >= 0 is
-  // the stage's own contribution on top of the wire crossing.
-  void Deliver(PacketPtr packet, TimeNs extra) {
+  // Enqueue `packet` to arrive at src-now + latency.
+  void Accept(PacketPtr packet) override {
     JUG_CHECK(sink_ != nullptr);
-    JUG_CHECK(extra >= 0);
-    mailbox_->Push(std::move(packet), *src_now_ + latency_ + extra, sink_);
+    mailbox_->Push(std::move(packet), *src_now_ + latency_, sink_);
   }
-
-  void Accept(PacketPtr packet) override { Deliver(std::move(packet), 0); }
 
  private:
   ShardMailbox* mailbox_;

@@ -12,7 +12,12 @@ namespace juggler {
 
 ShardedEngine::ShardedEngine(size_t shards) : requested_shards_(shards < 1 ? 1 : shards) {}
 
-ShardedEngine::~ShardedEngine() { ReleaseResidualPackets(); }
+ShardedEngine::~ShardedEngine() {
+  ReleaseResidualPackets();
+  if (domains_.size() == 1) {
+    domains_[0]->pool_.MoveFreeStorageTo(&PacketPool::ThreadLocal());
+  }
+}
 
 void ShardedEngine::ReleaseResidualPackets() {
   // Free packets parked in mailboxes, then packets riding timers in any
@@ -35,7 +40,18 @@ void ShardedEngine::ReleaseResidualPackets() {
 }
 
 ShardDomain* ShardedEngine::AddDomain(std::string name) {
+  // A one-domain engine runs like a plain loop on the constructing thread,
+  // so its pool borrows that thread's idle packet storage (returned at
+  // teardown): an engine per run then recycles packets instead of
+  // reallocating them. A second domain ends the loan, since a per-node
+  // partition's first domain (a switch) would only hold the storage idle.
+  if (domains_.size() == 1) {
+    domains_[0]->pool_.MoveFreeStorageTo(&PacketPool::ThreadLocal());
+  }
   domains_.push_back(std::make_unique<ShardDomain>(std::move(name)));
+  if (domains_.size() == 1) {
+    PacketPool::ThreadLocal().MoveFreeStorageTo(&domains_[0]->pool_);
+  }
   return domains_.back().get();
 }
 

@@ -1,11 +1,12 @@
 // Conservative parallel discrete-event engine: one large scenario, many
 // cores, zero rollback.
 //
-// The scenario is split into *domains* — fixed partitions (one host, one
-// switch) that each own a private EventLoop, PacketPool and PacketFactory.
-// The only coupling between domains is a wire crossing with a fixed minimum
-// latency, registered via Connect(); the smallest such latency is the
-// engine's *lookahead* L. Execution proceeds in windows:
+// The scenario is split into *domains* — fixed partitions (the whole
+// testbed, or one host or switch each; see Partition in
+// src/scenario/topologies.h) that each own a private EventLoop, PacketPool
+// and PacketFactory. The only coupling between domains is a wire crossing
+// with a fixed minimum latency, registered via Connect(); the smallest such
+// latency is the engine's *lookahead* L. Execution proceeds in windows:
 //
 //   1. m  = min over all domains of the next pending event time.
 //   2. Every domain runs independently (in parallel) up to
@@ -38,7 +39,8 @@
 // Teardown: ~ShardedEngine frees mailbox contents, then Shutdown()s every
 // loop (freeing packets riding timers), and only then lets the domain pools
 // die — satisfying the stamped-pool lifetime contract even for packets that
-// crossed domains.
+// crossed domains. A one-domain engine borrows the constructing thread's
+// idle packet storage for its pool and hands it back at teardown.
 
 #ifndef JUGGLER_SRC_SIM_SHARDED_ENGINE_H_
 #define JUGGLER_SRC_SIM_SHARDED_ENGINE_H_

@@ -25,7 +25,9 @@ class ThreadBudget {
  public:
   // Total concurrent workers the process should run: the JUGGLER_THREADS
   // env override when parseable and >= 1, else std::thread::hardware_concurrency
-  // (itself clamped to >= 1). Re-read on every call so tests can setenv.
+  // (itself clamped to >= 1). The override is re-read on every call so tests
+  // can setenv; the hardware count is read once, since glibc answers it
+  // with a sysfs read and every ShardedEngine::Run asks.
   static size_t Total() {
     if (const char* env = std::getenv("JUGGLER_THREADS")) {
       const long v = std::strtol(env, nullptr, 10);
@@ -33,8 +35,11 @@ class ThreadBudget {
         return static_cast<size_t>(v);
       }
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
+    static const size_t hw = [] {
+      const unsigned n = std::thread::hardware_concurrency();
+      return n == 0 ? size_t{1} : static_cast<size_t>(n);
+    }();
+    return hw;
   }
 
   // Reserve up to `want` worker slots. Returns the grant, in [1, want] for

@@ -71,7 +71,7 @@ TEST(AppChaosTest, ReplicationCommitBarrierSurvivesChaos) {
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(AppWorkloadKind::kReplication);
     opt.app.sessions = 3;
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
     ExpectClean(r, CellName(StackKind::kJuggler, AppWorkloadKind::kReplication, seed));
   }
 }
@@ -108,7 +108,7 @@ TEST(AppChaosTest, FaultsExerciseRetriesAndDedup) {
     opt.family = FaultFamily::kLinkFlap;
     opt.app = SmallWorkload(AppWorkloadKind::kRpc);
     opt.app.retry.attempt_timeout = Ms(2);
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
     ExpectClean(r, CellName(StackKind::kJuggler, AppWorkloadKind::kRpc, seed));
     retries += r.app.retries;
     dedup += r.app.duplicates_suppressed;
@@ -123,8 +123,8 @@ TEST(AppChaosTest, SameSeedSameDigest) {
     opt.seed = 17;
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(kind);
-    const ChaosEngineResult a = RunChaosEngine(opt, /*use_juggler=*/true);
-    const ChaosEngineResult b = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult a = RunChaosEngineStack(opt, StackKind::kJuggler);
+    const ChaosEngineResult b = RunChaosEngineStack(opt, StackKind::kJuggler);
     EXPECT_EQ(a.digest, b.digest) << AppWorkloadKindName(kind);
   }
 }
@@ -141,9 +141,9 @@ TEST(AppChaosTest, DigestInvariantAcrossShardCounts) {
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(kind);
     opt.shards = 1;
-    const ChaosEngineResult one = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult one = RunChaosEngineStack(opt, StackKind::kJuggler);
     opt.shards = 2;
-    const ChaosEngineResult two = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult two = RunChaosEngineStack(opt, StackKind::kJuggler);
     EXPECT_EQ(one.digest, two.digest) << AppWorkloadKindName(kind);
     ExpectClean(one, CellName(StackKind::kJuggler, kind, 23));
     ExpectClean(two, CellName(StackKind::kJuggler, kind, 23));
@@ -158,7 +158,7 @@ TEST(AppChaosTest, MetricsCarryAppAndPerConnectionTcpCounters) {
   opt.family = FaultFamily::kMixed;
   opt.app = SmallWorkload(AppWorkloadKind::kRpc);
   opt.obs.metrics = true;
-  const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_EQ(r.violations, 0u);
   const MetricsRegistry& m = r.obs.metrics;
   EXPECT_EQ(m.CounterValue("app.issued", "client"), r.app.issued);

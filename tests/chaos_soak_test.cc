@@ -11,10 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/scenario/chaos_scenario.h"
 #include "src/sim/sweep_runner.h"
+#include "src/util/json.h"
 
 namespace juggler {
 namespace {
@@ -120,6 +127,106 @@ TEST(ChaosSoakTest, DifferentSeedsDifferentFaultPatterns) {
   ChaosOptions b = a;
   b.seed = 4;
   EXPECT_NE(RunChaos(a).juggler.digest, RunChaos(b).juggler.digest);
+}
+
+// ------------------------------------------------ unpartitioned golden --
+
+#ifndef JUGGLER_TEST_GOLDEN_DIR
+#define JUGGLER_TEST_GOLDEN_DIR "tests/golden"
+#endif
+
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+Json GoldenRow(const std::string& name, const ChaosOptions& opt) {
+  const ChaosResult r = RunChaos(opt);
+  Json row = Json::Object();
+  row.Set("case", Json::Str(name));
+  row.Set("juggler_digest", Json::Str(Hex(r.juggler.digest)));
+  row.Set("juggler_finish_ns", Json::Int(r.juggler.finish_time));
+  row.Set("baseline_digest", Json::Str(Hex(r.baseline.digest)));
+  row.Set("baseline_finish_ns", Json::Int(r.baseline.finish_time));
+  return row;
+}
+
+// Every unpartitioned (shards=0) run the golden pins: the five families and
+// the mix x 4 seeds, plus one overload run (incast, churn and brown-out
+// windows, as `chaos_runner --overload` sets them) and one RPC app run (as
+// `chaos_runner --app rpc`).
+Json UnpartitionedDigests() {
+  Json rows = Json::Array();
+  for (FaultFamily family :
+       {FaultFamily::kDropBurst, FaultFamily::kDuplicate, FaultFamily::kCorrupt,
+        FaultFamily::kDelaySpike, FaultFamily::kLinkFlap, FaultFamily::kMixed}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      ChaosOptions opt;
+      opt.seed = seed;
+      opt.family = family;
+      rows.Push(GoldenRow(std::string(FaultFamilyName(family)) + "/" + std::to_string(seed), opt));
+    }
+  }
+
+  ChaosOptions overload;
+  overload.family = FaultFamily::kDropBurst;
+  overload.overload.pool_capacity = 4'096;
+  OverloadWindow incast;
+  incast.kind = OverloadKind::kIncast;
+  incast.start = Ms(5);
+  incast.end = Ms(15);
+  incast.flows = 96;
+  incast.packets_per_flow = 4;
+  incast.burst_interval = Us(150);
+  overload.overload.windows.push_back(incast);
+  OverloadWindow churn;
+  churn.kind = OverloadKind::kChurn;
+  churn.start = Ms(20);
+  churn.end = Ms(30);
+  churn.flows = 64;
+  churn.packets_per_flow = 2;
+  churn.burst_interval = Us(200);
+  overload.overload.windows.push_back(churn);
+  OverloadWindow brownout;
+  brownout.kind = OverloadKind::kBrownout;
+  brownout.start = Ms(35);
+  brownout.end = Ms(45);
+  brownout.cap_pct = 25;
+  overload.overload.windows.push_back(brownout);
+  rows.Push(GoldenRow("overload/drop-burst/1", overload));
+
+  ChaosOptions rpc;
+  rpc.family = FaultFamily::kMixed;
+  rpc.app.kind = AppWorkloadKind::kRpc;
+  rpc.app.response_bytes = 12'288;
+  rpc.app.chunk_bytes = 49'152;
+  rpc.app.transfer_bytes_per_session = 3 * rpc.app.chunk_bytes;
+  rows.Push(GoldenRow("app-rpc/mixed/1", rpc));
+  return rows;
+}
+
+TEST(ChaosSoakTest, UnpartitionedDigestsMatchGolden) {
+  const std::string golden_path =
+      std::string(JUGGLER_TEST_GOLDEN_DIR) + "/chaos_unpartitioned_digests.json";
+  const std::string current = UnpartitionedDigests().Dump(1) + "\n";
+
+  if (std::getenv("JUGGLER_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << current;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << " (regenerate with JUGGLER_REGEN_GOLDEN=1)";
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), current)
+      << "shards=0 chaos digests changed; if intentional, regenerate with\n"
+         "  JUGGLER_REGEN_GOLDEN=1 ./chaos_soak_test "
+         "--gtest_filter='ChaosSoakTest.UnpartitionedDigestsMatchGolden'";
 }
 
 }  // namespace

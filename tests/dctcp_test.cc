@@ -91,7 +91,7 @@ TEST(DctcpTest, KeepsQueueShallow) {
     hc.rx.int_coalesce = Us(20);
     hc.ip = 2;
     hc.name = "rcv";
-    Host* rcv = fabric.AddHost(&world, hc, rev_link);
+    Host* rcv = fabric.AddHost(&world.loop, &world.factory, &world.costs, hc, rev_link);
     LinkConfig fwd;
     fwd.rate_bps = 10 * kGbps;
     fwd.queue_limit_bytes = 500'000;
@@ -99,7 +99,7 @@ TEST(DctcpTest, KeepsQueueShallow) {
     Link* fwd_link = fabric.AddLink(&world.loop, "fwd", fwd, rcv->wire_in());
     hc.ip = 1;
     hc.name = "snd";
-    Host* snd = fabric.AddHost(&world, hc, fwd_link);
+    Host* snd = fabric.AddHost(&world.loop, &world.factory, &world.costs, hc, fwd_link);
     to_sender->set_target(snd->wire_in());
     EndpointPair pair = ConnectHosts(snd, rcv, 1000, 2000);
     pair.a_to_b->SendForever();

@@ -137,7 +137,7 @@ ChaosOptions ObsChaosOptions(size_t shards) {
 }
 
 TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
-  const ChaosEngineResult one = RunChaosEngine(ObsChaosOptions(1), /*use_juggler=*/true);
+  const ChaosEngineResult one = RunChaosEngineStack(ObsChaosOptions(1), StackKind::kJuggler);
   ASSERT_TRUE(one.completed);
   ASSERT_FALSE(one.obs.metrics.empty());
   ASSERT_FALSE(one.obs.events.empty());
@@ -145,7 +145,7 @@ TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
   const std::string trace1 = one.obs.TraceJson(ChaosTraceNamer()).Dump(1);
 
   for (size_t shards : {size_t{2}, size_t{8}}) {
-    const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(shards), /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngineStack(ObsChaosOptions(shards), StackKind::kJuggler);
     EXPECT_EQ(r.digest, one.digest) << "digest diverged at shards=" << shards;
     EXPECT_EQ(r.obs.MetricsJson().Dump(1), metrics1)
         << "metrics JSON not byte-identical at shards=" << shards;
@@ -155,7 +155,7 @@ TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
 }
 
 TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(2), /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngineStack(ObsChaosOptions(2), StackKind::kJuggler);
   ASSERT_GT(r.obs.events.size(), 1u);
   for (size_t i = 1; i < r.obs.events.size(); ++i) {
     const TraceEvent& p = r.obs.events[i - 1];
@@ -166,8 +166,8 @@ TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
   }
 }
 
-TEST(ObsDeterminismTest, LegacyEngineCollectsObsToo) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(0), /*use_juggler=*/true);
+TEST(ObsDeterminismTest, UnpartitionedRunCollectsObsToo) {
+  const ChaosEngineResult r = RunChaosEngineStack(ObsChaosOptions(0), StackKind::kJuggler);
   EXPECT_TRUE(r.obs.metrics_enabled);
   EXPECT_TRUE(r.obs.trace_enabled);
   EXPECT_FALSE(r.obs.metrics.empty());
@@ -183,7 +183,7 @@ TEST(ObsDeterminismTest, MailboxPressureRoutedThroughRegistry) {
   ChaosOptions opt = ObsChaosOptions(2);
   opt.transfer_bytes = 200'000;
   opt.shard_mailbox_capacity = 2;
-  const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_GT(r.shard_mailbox_overflows, 0u) << "capacity 2 should overflow";
   EXPECT_EQ(r.obs.metrics.CounterValue("sim.mailbox_overflow_drops", ""),
             r.shard_mailbox_overflows);
@@ -194,7 +194,7 @@ TEST(ObsDeterminismTest, MailboxPressureRoutedThroughRegistry) {
   // zero — the gauge is live, not a constant.
   ChaosOptions sane = ObsChaosOptions(2);
   sane.transfer_bytes = 200'000;
-  const ChaosEngineResult ok = RunChaosEngine(sane, /*use_juggler=*/true);
+  const ChaosEngineResult ok = RunChaosEngineStack(sane, StackKind::kJuggler);
   EXPECT_EQ(ok.obs.metrics.CounterValue("sim.mailbox_overflow_drops", ""), 0u);
   EXPECT_GT(ok.obs.metrics.GaugeValue("sim.mailbox_high_watermark", ""), 0u);
 }
@@ -385,7 +385,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   // run digest (obs must not perturb reproducibility).
   ChaosOptions opt = ObsChaosOptions(1);
   opt.rx_driver = RxDriverKind::kCorec;
-  const ChaosEngineResult one = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult one = RunChaosEngineStack(opt, StackKind::kJuggler);
   ASSERT_TRUE(one.completed);
   const std::string metrics1 = one.obs.MetricsJson().Dump(1);
   EXPECT_NE(metrics1.find("nic.corec_claims"), std::string::npos)
@@ -395,7 +395,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   for (size_t shards : {size_t{2}, size_t{8}}) {
     ChaosOptions o = ObsChaosOptions(shards);
     o.rx_driver = RxDriverKind::kCorec;
-    const ChaosEngineResult r = RunChaosEngine(o, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngineStack(o, StackKind::kJuggler);
     EXPECT_EQ(r.digest, one.digest) << "digest diverged at shards=" << shards;
     EXPECT_EQ(r.obs.MetricsJson().Dump(1), metrics1)
         << "COREC metrics not byte-identical at shards=" << shards;
@@ -404,7 +404,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   ChaosOptions dark = ObsChaosOptions(1);
   dark.rx_driver = RxDriverKind::kCorec;
   dark.obs = ObsConfig{};  // metrics + trace off
-  const ChaosEngineResult no_obs = RunChaosEngine(dark, /*use_juggler=*/true);
+  const ChaosEngineResult no_obs = RunChaosEngineStack(dark, StackKind::kJuggler);
   EXPECT_EQ(no_obs.digest, one.digest) << "collecting COREC counters moved the digest";
   EXPECT_EQ(no_obs.stream_digest, one.stream_digest);
 }

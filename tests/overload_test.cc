@@ -10,7 +10,7 @@
 //     refusals" is the conservation proof);
 //   * the stack recovers after pressure ends (occupancy back under the
 //     watermark, gro_table drained, throughput restored) and leaks nothing
-//     (sharded teardown measures outstanding pool packets exactly);
+//     (teardown measures outstanding pool packets exactly);
 //   * every overload scenario is deterministic and shard-invariant: the
 //     digest is byte-identical for any worker count N >= 1.
 
@@ -79,6 +79,7 @@ TEST(OverloadChaosTest, StackMatrixSurvivesEveryPressureKind) {
         EXPECT_GT(r.overload.brownouts, 0u);
         EXPECT_EQ(r.overload.brownouts, r.overload.cap_restores);
       }
+      EXPECT_EQ(r.overload_pool_leaked, 0u) << r.engine << " under " << OverloadKindName(kind);
     }
   }
 }
@@ -95,7 +96,7 @@ TEST(OverloadChaosTest, DigestInvariantAcrossShardCounts) {
       const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
       ASSERT_TRUE(r.completed) << OverloadKindName(kind) << " shards=" << shards;
       ASSERT_EQ(r.violations, 0u) << OverloadKindName(kind) << " shards=" << shards;
-      EXPECT_EQ(r.overload_pool_leaked, 0) << OverloadKindName(kind) << " shards=" << shards;
+      EXPECT_EQ(r.overload_pool_leaked, 0u) << OverloadKindName(kind) << " shards=" << shards;
       if (shards == 1) {
         digest1 = r.digest;
       } else {
@@ -132,7 +133,7 @@ TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
                                       ? ""
                                       : r.violation_messages.front());
   EXPECT_GT(r.overload_pool_exhausted, 1'000u) << "cap=96 must actually refuse the storm";
-  EXPECT_EQ(r.overload_pool_leaked, 0);
+  EXPECT_EQ(r.overload_pool_leaked, 0u);
   EXPECT_LE(r.overload_peak_pool, 96u + 64u)
       << "occupancy must stay near the cap (remote-release slack only)";
 
@@ -175,10 +176,9 @@ TEST(OverloadChaosTest, PressureOutlivingTheWorkloadStaysClean) {
   }
 }
 
-// Legacy (shards=0) runs cap the long-lived thread-local pool; after the
-// run the cap must be fully restored or every later test in this process
-// inherits a stale bound.
-TEST(OverloadChaosTest, ThreadPoolCapacityRestoredAfterLegacyRun) {
+// A one-domain (shards=0) run caps its own domain pool, never the
+// long-lived thread-local pool every later test in this process shares.
+TEST(OverloadChaosTest, UnpartitionedRunLeavesThreadPoolCapacityAlone) {
   const size_t before = PacketPool::ThreadLocal().capacity();
   const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kBrownout, /*shards=*/0);
   const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);

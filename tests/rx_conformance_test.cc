@@ -164,7 +164,6 @@ TEST(RxConformanceTest, OverloadDropConservationOnBothDrivers) {
   // the overload auditor cross-checks refusals against per-layer drop
   // counters), finish the transfer, and agree on the stream.
   ChaosOptions opt = BaseOptions(17, FaultFamily::kDropBurst);
-  opt.shards = 1;  // sharded teardown measures pool leaks exactly
   opt.overload.pool_capacity = 96;
   OverloadWindow incast;
   incast.kind = OverloadKind::kIncast;
@@ -182,7 +181,7 @@ TEST(RxConformanceTest, OverloadDropConservationOnBothDrivers) {
         std::string("overload/") + (r == &rss ? "rss" : "corec");
     ExpectClean(*r, where);
     EXPECT_GT(r->overload_pool_exhausted, 0u) << where << ": cap=96 never refused";
-    EXPECT_EQ(r->overload_pool_leaked, 0) << where;
+    EXPECT_EQ(r->overload_pool_leaked, 0u) << where;
   }
   EXPECT_EQ(rss.stream_digest, corec.stream_digest)
       << "overload pressure must not make the drivers disagree on the stream";

@@ -51,12 +51,12 @@ TEST_F(ShardedEngineTest, ArrivalExactlyAtLookaheadHorizonIsDelivered) {
   // Window 1: m = 0, horizon = 0 + L. The emission at t=0 arrives at exactly
   // the horizon; a second emission mid-window lands past it.
   a->loop().ScheduleAt(0, [&] { ep->Accept(AllocPacket()); });
-  a->loop().ScheduleAt(Us(1), [&] { ep->Deliver(AllocPacket(), Us(10)); });
+  a->loop().ScheduleAt(Us(1), [&] { ep->Accept(AllocPacket()); });
   engine.Run(Ms(1));
 
   ASSERT_EQ(sink.arrivals.size(), 2u);
   EXPECT_EQ(sink.arrivals[0], kLatency);           // == first window's horizon
-  EXPECT_EQ(sink.arrivals[1], Us(1) + kLatency + Us(10));
+  EXPECT_EQ(sink.arrivals[1], Us(1) + kLatency);
   EXPECT_EQ(engine.stats().crossings, 2u);
   EXPECT_GE(engine.stats().windows, 2u);
   EXPECT_EQ(b->loop().now(), Ms(1));  // clocks pinned to the deadline
@@ -119,6 +119,49 @@ TEST(PacketPoolCrossThread, CloneKeepsOwnOrigin) {
   EXPECT_EQ(src->pool_origin, &pool);
 }
 
+// A one-domain engine borrows the constructing thread's idle storage and
+// hands it back on teardown, so an engine per run recycles packets. A
+// second domain ends the loan.
+TEST(PacketPoolCrossThread, OneDomainEngineBorrowsThreadStorage) {
+  PacketPool& home = PacketPool::ThreadLocal();
+  AllocPacket().reset();
+  const size_t idle = home.free_size();
+  ASSERT_GT(idle, 0u);
+  {
+    ShardedEngine engine(1);
+    ShardDomain* domain = engine.AddDomain("d");
+    EXPECT_EQ(home.free_size(), 0u);
+    EXPECT_EQ(domain->pool().free_size(), idle);
+  }
+  EXPECT_EQ(home.free_size(), idle);
+  {
+    ShardedEngine engine(1);
+    ShardDomain* first = engine.AddDomain("a");
+    engine.AddDomain("b");
+    EXPECT_EQ(home.free_size(), idle);
+    EXPECT_EQ(first->pool().free_size(), 0u);
+  }
+  EXPECT_EQ(home.free_size(), idle);
+}
+
+// Storage handed to an idle pool is trimmed to its compaction watermark.
+TEST(PacketPoolCrossThread, MovedStorageIsBoundedByTheWatermark) {
+  PacketPool busy;
+  std::vector<Packet*> held;
+  for (int i = 0; i < 6'000; ++i) {
+    held.push_back(busy.Acquire());
+  }
+  for (Packet* p : held) {
+    busy.Release(p);
+  }
+  ASSERT_EQ(busy.free_size(), held.size());  // a busy pool keeps its storage
+  PacketPool idle;
+  busy.MoveFreeStorageTo(&idle);
+  EXPECT_EQ(busy.free_size(), 0u);
+  EXPECT_LT(idle.free_size(), held.size());
+  EXPECT_GT(idle.compact_freed(), 0u);
+}
+
 TEST(ThreadBudgetTest, EnvOverrideAndNestedDegradation) {
   setenv("JUGGLER_THREADS", "3", 1);
   EXPECT_EQ(ThreadBudget::Total(), 3u);
@@ -138,7 +181,9 @@ TEST(ThreadBudgetTest, EnvOverrideAndNestedDegradation) {
 // Chaos digests fold every observable counter of the run (delivery, faults,
 // retransmits, GRO behavior); they must be byte-identical for 1, 2 and 8
 // shards, under both a link-flap schedule and a checksum-drop (corruption)
-// schedule, for both engines.
+// schedule, for both engines. The one-domain partition (shards=0) must hand
+// TCP the same byte stream; its run digest may differ by same-timestamp tie
+// order.
 void ExpectShardCountInvariant(FaultFamily family) {
   ChaosOptions opt;
   opt.family = family;
@@ -158,6 +203,16 @@ void ExpectShardCountInvariant(FaultFamily family) {
     EXPECT_EQ(r.juggler.shard_crossings, base.juggler.shard_crossings);
     EXPECT_EQ(r.juggler.shard_events, base.juggler.shard_events);
   }
+  opt.shards = 0;
+  const ChaosResult one_domain = RunChaos(opt);
+  EXPECT_EQ(one_domain.juggler.stream_digest, base.juggler.stream_digest)
+      << FaultFamilyName(family) << " shards=0";
+  EXPECT_EQ(one_domain.baseline.stream_digest, base.baseline.stream_digest)
+      << FaultFamilyName(family) << " shards=0";
+  EXPECT_EQ(one_domain.juggler.bytes_delivered, base.juggler.bytes_delivered)
+      << FaultFamilyName(family) << " shards=0";
+  EXPECT_EQ(one_domain.baseline.bytes_delivered, base.baseline.bytes_delivered)
+      << FaultFamilyName(family) << " shards=0";
 }
 
 TEST_F(ShardedEngineTest, ChaosDigestInvariantUnderLinkFlap) {
@@ -231,14 +286,14 @@ TEST_F(ShardedEngineTest, TinyMailboxCapacityDegradesVisibly) {
   opt.time_limit = Ms(200);
   opt.shards = 2;
   opt.shard_mailbox_capacity = 1;
-  const ChaosEngineResult starved = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult starved = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_LE(starved.shard_mailbox_hwm, 1u);
   EXPECT_GT(starved.shard_mailbox_overflows, 0u);
 
   // Control: the default fuse never trips on a healthy run.
   opt.shard_mailbox_capacity = 0;
   opt.time_limit = Ms(800);
-  const ChaosEngineResult healthy = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult healthy = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_TRUE(healthy.completed);
   EXPECT_EQ(healthy.shard_mailbox_overflows, 0u);
   EXPECT_GT(healthy.shard_mailbox_hwm, 0u);
