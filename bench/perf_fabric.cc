@@ -6,11 +6,11 @@
 // those leave uncovered — how fast a single big scenario runs as workers are
 // added. A 32-host Clos (16 per ToR, 2 spines) runs 16 concurrent bulk
 // transfers (left host i -> right host i); the engine partitions it into one
-// shard domain per host and per switch, and the requested worker count is a
-// pure multiplexing knob. The simulated outcome (packets seen by every NIC,
-// bytes delivered by every receiver, engine windows) must be identical at
-// every worker count — the bench exits 1 if it is not — so the curve is pure
-// engine scaling, not workload drift.
+// shard domain per rack (a ToR and its hosts) and one per spine, and the
+// requested worker count is a pure multiplexing knob. The simulated outcome
+// (packets seen by every NIC, bytes delivered by every receiver, engine
+// windows) must be identical at every worker count — the bench exits 1 if it
+// is not — so the curve is pure engine scaling, not workload drift.
 //
 // Results merge into BENCH_core.json as a "fabric_scaling" section (every
 // other bench's sections are preserved; re-running replaces this one).

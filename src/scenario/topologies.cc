@@ -111,8 +111,10 @@ namespace {
 ClosTestbed BuildClos(const Partition& partition, const CpuCostModel* costs, ClosOptions options) {
   ClosTestbed t;
 
-  const NodeDomain tor_a_at = partition.Place("tor_a");
-  const NodeDomain tor_b_at = partition.Place("tor_b");
+  // A rack (a ToR and its hosts) is one node of the partition, so only the
+  // ToR<->spine links can cross between domains.
+  const NodeDomain tor_a_at = partition.Place("rack_a");
+  const NodeDomain tor_b_at = partition.Place("rack_b");
   t.tor_a = t.fabric.AddSwitch("tor_a", options.lb);
   t.tor_b = t.fabric.AddSwitch("tor_b", options.lb);
   std::vector<Switch*> spines;
@@ -171,12 +173,10 @@ ClosTestbed BuildClos(const Partition& partition, const CpuCostModel* costs, Clo
       HostConfig hc = options.host_template;
       hc.ip = HostIp(tor_id, static_cast<uint32_t>(h));
       hc.name = std::string(tor_id == 0 ? "srv" : "cli") + std::to_string(h);
-      const NodeDomain at = partition.Place(hc.name);
-      Link* uplink = partition.AddLink(&t.fabric, at, tor_at, hc.name + "->" + tor->name(),
-                                       uplink_cfg, tor);
-      Host* host = t.fabric.AddHost(at.loop, at.factory, costs, hc, uplink);
-      Link* downlink = partition.AddLink(&t.fabric, tor_at, at, tor->name() + "->" + hc.name,
-                                         downlink_cfg, host->wire_in());
+      Link* uplink = t.fabric.AddLink(tor_at.loop, hc.name + "->" + tor->name(), uplink_cfg, tor);
+      Host* host = t.fabric.AddHost(tor_at.loop, tor_at.factory, costs, hc, uplink);
+      Link* downlink = t.fabric.AddLink(tor_at.loop, tor->name() + "->" + hc.name, downlink_cfg,
+                                        host->wire_in());
       tor->AddRoute(hc.ip, downlink);
       for (size_t s = 0; s < spine_down.size(); ++s) {
         spines[s]->AddRoute(hc.ip, spine_down[s]);

@@ -13,12 +13,12 @@
 // Fabric owns every network component so benches keep a single object alive.
 //
 // Each topology has one builder body, and its Partition says where the
-// nodes (hosts, switches) run: all in one domain (a SimWorld, or a single
-// ShardDomain), or each in its own ShardDomain of a ShardedEngine. Only
-// links cross between domains: a crossing link delivers into the engine's
-// mailbox, and the crossing carries its propagation delay. The NetFPGA
-// switch's stages run with the receiver, so its forward wire is the
-// crossing.
+// nodes run: all in one domain (a SimWorld, or a single ShardDomain), or
+// each in its own ShardDomain of a ShardedEngine. A NetFPGA node is a host;
+// a Clos node is a rack (a ToR and its hosts) or a spine. Only links cross
+// between domains: a crossing link delivers into the engine's mailbox, and
+// the crossing carries its propagation delay. The NetFPGA switch's stages
+// run with the receiver, so its forward wire is the crossing.
 
 #ifndef JUGGLER_SRC_SCENARIO_TOPOLOGIES_H_
 #define JUGGLER_SRC_SCENARIO_TOPOLOGIES_H_
@@ -55,14 +55,16 @@ struct Fabric;
 
 // How a builder maps nodes onto domains. Under PerNode every Place() adds a
 // domain, so placement order is domain order, which fixes worker
-// assignment and the mailbox tie-break order.
+// assignment and the mailbox tie-break order. Components placed on one
+// node share its domain, and links between them stay local.
 class Partition {
  public:
   // Every node on the world's loop and factory.
   static Partition OneDomain(SimWorld* world);
   // Every node on one new domain of `engine`.
   static Partition OneDomain(ShardedEngine* engine, std::string name);
-  // One new domain of `engine` per node.
+  // One new domain of `engine` per Place() call: per host for NetFPGA, per
+  // rack and per spine for Clos.
   static Partition PerNode(ShardedEngine* engine);
 
   NodeDomain Place(std::string node) const;
@@ -192,11 +194,11 @@ struct ClosTestbed {
 
 ClosTestbed BuildClos(SimWorld* world, ClosOptions options);
 
-// The same fabric with one domain per host and per switch: [tor_a, tor_b,
-// spines..., left hosts..., right hosts...]. Each switch drives its outbound
-// links, and every link crosses with latency link_prop, so the engine's
-// lookahead is the fabric's propagation delay. `engine` and `costs` must
-// outlive the returned testbed.
+// The same fabric with one domain per rack and one per spine: [rack_a,
+// rack_b, spine_0, spine_1, ...], where a rack is a ToR and its hosts. Host
+// links stay inside their rack; each ToR<->spine link crosses with latency
+// link_prop, so the engine's lookahead is the fabric's propagation delay.
+// `engine` and `costs` must outlive the returned testbed.
 using ShardedClosTestbed = ClosTestbed;
 ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* costs,
                                     ClosOptions options);

@@ -2,7 +2,7 @@
 // cores, zero rollback.
 //
 // The scenario is split into *domains* — fixed partitions (the whole
-// testbed, or one host or switch each; see Partition in
+// testbed, one host each, or one Clos rack or spine each; see Partition in
 // src/scenario/topologies.h) that each own a private EventLoop, PacketPool
 // and PacketFactory. The only coupling between domains is a wire crossing
 // with a fixed minimum latency, registered via Connect(); the smallest such
@@ -15,7 +15,8 @@
 //      local time t >= m crosses the wire no earlier than t + L >= m + L.
 //   3. Barrier. Each domain drains its inbound mailboxes and schedules the
 //      arrivals (all >= window_end by the argument above — checked) into its
-//      own loop. Barrier. Repeat.
+//      own loop, then reports its next event time. Barrier; its completion
+//      step takes the minimum of those times as the next m. Repeat.
 //
 // Determinism is by construction, not by tie-breaking heuristics: the domain
 // graph, the window sequence (a function of global event times and L only)
@@ -28,13 +29,24 @@
 //
 // Threading: worker 0 is the calling thread; W-1 helpers are spawned per
 // Run() (W is the shard knob clamped by ThreadBudget and the domain count).
-// Domains are assigned statically (index mod W). Three barrier crossings per
-// window separate (round publication) -> run -> inject; all cross-thread
-// data (mailboxes, loops read for `m`) is touched only on the correct side
-// of a barrier, so the engine needs no locks and runs TSan-clean. While a
-// worker executes a domain, that domain's pool is made thread-ambient
+// Domains are assigned statically (index mod W), and every W runs the same
+// worker loop, with two barrier crossings per window:
+//
+//   run the owned domains to window_end -> barrier -> per owned domain,
+//   reconcile its pool, inject its mailboxes and note its next event time
+//   -> barrier, whose completion step (run by the last worker to arrive)
+//   takes the minimum of those times and sizes the next window.
+//
+// All cross-thread data (mailboxes, the per-worker next-event slots, the
+// window parameters) is touched only on the correct side of a barrier, so
+// the engine needs no locks and runs TSan-clean. The barrier spins briefly,
+// then parks; with one worker it is a plain call. While a worker executes a
+// domain, that domain's pool is made thread-ambient
 // (PacketPool::SwapThreadPool), so allocations stamp the domain pool and
-// cross-shard releases recycle back to it through the return stack.
+// cross-shard releases recycle back to it through the return stack. An
+// exception thrown by a domain's events stops the run at the end of that
+// window on every worker; Run() then rethrows the exception of the
+// lowest-indexed domain that threw, whatever W is.
 //
 // Teardown: ~ShardedEngine frees mailbox contents, then Shutdown()s every
 // loop (freeing packets riding timers), and only then lets the domain pools
@@ -46,6 +58,7 @@
 #define JUGGLER_SRC_SIM_SHARDED_ENGINE_H_
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,6 +138,8 @@ class ShardedEngine {
 
   // Run every domain to `deadline` under the window protocol; afterwards
   // each domain's loop sits at now() == deadline, exactly like RunUntil.
+  // If events throw, the run stops at the end of that window and Run()
+  // rethrows the exception of the lowest-indexed domain that threw.
   void Run(TimeNs deadline);
 
   // Frees every packet still parked in mailboxes or riding loop timers, and
@@ -139,13 +154,16 @@ class ShardedEngine {
   const ShardedEngineStats& stats() const { return stats_; }
 
  private:
-  // Publishes the next window (or the stop flag) into window_end_/stop_.
-  // Called by worker 0 only, while all other workers are parked.
-  void PrepareRound();
-  void RunPhase(size_t worker, size_t num_workers);
-  void InjectPhase(size_t worker, size_t num_workers);
-  void RunSingleThreaded();
-  void RunMultiThreaded(size_t num_workers);
+  // Sizes the next window from `m`, the earliest pending event over all
+  // domains, or sets stop_ once the deadline window has run. Called while
+  // no worker is running or injecting.
+  void PlanWindow(TimeNs m);
+  // Runs the domains `worker` owns (index mod num_workers) to window_end_.
+  // A throwing domain ends the pass: returns its exception and index.
+  std::exception_ptr RunOwnedDomains(size_t worker, size_t num_workers, size_t* failed_domain);
+  // Reconciles and injects the domains `worker` owns; returns their earliest
+  // pending event time (kNoEvent once the deadline window has run).
+  TimeNs InjectOwnedDomains(size_t worker, size_t num_workers);
 
   static constexpr TimeNs kNoLookahead = INT64_MAX;
 
@@ -156,8 +174,8 @@ class ShardedEngine {
   std::vector<std::unique_ptr<RemoteEndpoint>> endpoints_;
   TimeNs lookahead_ = kNoLookahead;
 
-  // Per-Run() round state. Written by worker 0 in PrepareRound, read by all
-  // workers after the round-publication barrier.
+  // Per-Run() window state. Written by PlanWindow, read by all workers
+  // after the barrier it completes.
   TimeNs deadline_ = 0;
   TimeNs window_end_ = 0;
   bool stop_ = false;

@@ -1,15 +1,20 @@
-// Sharded engine: lookahead-window correctness, cross-shard packet
-// recycling, and the headline guarantee — chaos digests are byte-identical
-// no matter how many workers multiplex the shard domains.
+// Sharded engine: lookahead-window correctness, exception forwarding,
+// cross-shard packet recycling, the per-rack Clos partition, and the
+// headline guarantee — chaos digests are byte-identical no matter how many
+// workers multiplex the shard domains.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/packet/packet.h"
 #include "src/scenario/chaos_scenario.h"
+#include "src/scenario/gro_factories.h"
 #include "src/scenario/topologies.h"
 #include "src/sim/shard_mailbox.h"
 #include "src/sim/sharded_engine.h"
@@ -35,63 +40,293 @@ struct CollectorSink : PacketSink {
   void Accept(PacketPtr) override { arrivals.push_back(loop->now()); }
 };
 
+// The window sequence is a function of event times and the lookahead only,
+// so the worker counts below must all see the same windows and crossings.
+constexpr size_t kWorkerCounts[] = {1, 2, 4};
+
 // Regression: a packet emitted at time t crossing with latency L arrives at
 // exactly t + L == the lookahead horizon of the window that emitted it. The
 // envelope must survive the barrier (not be dropped as stale) and execute in
 // the next window at precisely that timestamp.
 TEST_F(ShardedEngineTest, ArrivalExactlyAtLookaheadHorizonIsDelivered) {
   const TimeNs kLatency = Us(3);
-  ShardedEngine engine(2);
-  ShardDomain* a = engine.AddDomain("a");
-  ShardDomain* b = engine.AddDomain("b");
-  RemoteEndpoint* ep = engine.Connect(a, b, kLatency);
-  CollectorSink sink(&b->loop());
-  ep->set_sink(&sink);
+  for (size_t workers : kWorkerCounts) {
+    ShardedEngine engine(workers);
+    ShardDomain* a = engine.AddDomain("a");
+    ShardDomain* b = engine.AddDomain("b");
+    RemoteEndpoint* ep = engine.Connect(a, b, kLatency);
+    CollectorSink sink(&b->loop());
+    ep->set_sink(&sink);
 
-  // Window 1: m = 0, horizon = 0 + L. The emission at t=0 arrives at exactly
-  // the horizon; a second emission mid-window lands past it.
-  a->loop().ScheduleAt(0, [&] { ep->Accept(AllocPacket()); });
-  a->loop().ScheduleAt(Us(1), [&] { ep->Accept(AllocPacket()); });
-  engine.Run(Ms(1));
+    // Window 1: m = 0, horizon = 0 + L. The emission at t=0 arrives at
+    // exactly the horizon; a second emission mid-window lands past it.
+    // Window 2 runs both arrivals; window 3 pins the clocks to the deadline.
+    a->loop().ScheduleAt(0, [&] { ep->Accept(AllocPacket()); });
+    a->loop().ScheduleAt(Us(1), [&] { ep->Accept(AllocPacket()); });
+    engine.Run(Ms(1));
 
-  ASSERT_EQ(sink.arrivals.size(), 2u);
-  EXPECT_EQ(sink.arrivals[0], kLatency);           // == first window's horizon
-  EXPECT_EQ(sink.arrivals[1], Us(1) + kLatency);
-  EXPECT_EQ(engine.stats().crossings, 2u);
-  EXPECT_GE(engine.stats().windows, 2u);
-  EXPECT_EQ(b->loop().now(), Ms(1));  // clocks pinned to the deadline
+    ASSERT_EQ(sink.arrivals.size(), 2u) << workers;
+    EXPECT_EQ(sink.arrivals[0], kLatency);  // == first window's horizon
+    EXPECT_EQ(sink.arrivals[1], Us(1) + kLatency);
+    EXPECT_EQ(engine.stats().crossings, 2u);
+    EXPECT_EQ(engine.stats().windows, 3u) << workers;
+    EXPECT_EQ(engine.stats().workers, std::min<size_t>(workers, 2));
+    EXPECT_EQ(b->loop().now(), Ms(1));  // clocks pinned to the deadline
+  }
 }
+
+// Forwards every arrival back across the engine.
+struct Echo : PacketSink {
+  RemoteEndpoint* reply = nullptr;
+  int hops = 0;
+  void Accept(PacketPtr p) override {
+    ++hops;
+    reply->Accept(std::move(p));
+  }
+};
 
 // A ping-pong chain across domains: every hop lands exactly on a window
 // horizon, for many windows in a row, under real worker threads.
 TEST_F(ShardedEngineTest, HorizonPingPongAcrossThreads) {
   const TimeNs kLatency = Us(5);
-  ShardedEngine engine(2);
-  ShardDomain* a = engine.AddDomain("a");
-  ShardDomain* b = engine.AddDomain("b");
-  RemoteEndpoint* to_b = engine.Connect(a, b, kLatency);
-  RemoteEndpoint* to_a = engine.Connect(b, a, kLatency);
+  for (size_t workers : kWorkerCounts) {
+    ShardedEngine engine(workers);
+    ShardDomain* a = engine.AddDomain("a");
+    ShardDomain* b = engine.AddDomain("b");
+    RemoteEndpoint* to_b = engine.Connect(a, b, kLatency);
+    RemoteEndpoint* to_a = engine.Connect(b, a, kLatency);
+    Echo on_b;
+    on_b.reply = to_a;
+    Echo on_a;
+    on_a.reply = to_b;
+    to_b->set_sink(&on_b);
+    to_a->set_sink(&on_a);
 
-  struct Echo : PacketSink {
-    RemoteEndpoint* reply;
-    int hops = 0;
+    a->loop().ScheduleAt(0, [&] { to_b->Accept(AllocPacket()); });
+    engine.Run(Us(100));  // 20 hops of 5us each
+
+    EXPECT_EQ(on_b.hops + on_a.hops, 20) << workers;
+    // One window per hop time 0, 5, ..., 100; the deadline window's hop
+    // emits the 21st crossing, parked in the loop for a later Run.
+    EXPECT_EQ(engine.stats().windows, 21u) << workers;
+    EXPECT_EQ(engine.stats().crossings, 21u) << workers;
+    EXPECT_EQ(engine.stats().workers, std::min<size_t>(workers, 2));
+  }
+}
+
+// A crossing emitted in the last window of one Run() is injected before
+// that Run returns, and executes at exactly emit + L in the next Run().
+TEST_F(ShardedEngineTest, CrossingFromFinalWindowArrivesInNextRun) {
+  const TimeNs kLatency = Us(5);
+  const TimeNs kFirst = Us(10);
+  for (size_t workers : kWorkerCounts) {
+    ShardedEngine engine(workers);
+    ShardDomain* a = engine.AddDomain("a");
+    ShardDomain* b = engine.AddDomain("b");
+    RemoteEndpoint* ep = engine.Connect(a, b, kLatency);
+    CollectorSink sink(&b->loop());
+    ep->set_sink(&sink);
+
+    // Both emissions run in the window ending at the first deadline: one
+    // just before it, one exactly at it.
+    a->loop().ScheduleAt(kFirst - 1, [&] { ep->Accept(AllocPacket()); });
+    a->loop().ScheduleAt(kFirst, [&] { ep->Accept(AllocPacket()); });
+    engine.Run(kFirst);
+    EXPECT_TRUE(sink.arrivals.empty()) << workers;
+    EXPECT_EQ(b->loop().now(), kFirst);
+    EXPECT_EQ(engine.stats().windows, 2u) << workers;
+    EXPECT_EQ(engine.stats().crossings, 2u) << workers;
+
+    engine.Run(Us(20));
+    ASSERT_EQ(sink.arrivals.size(), 2u) << workers;
+    EXPECT_EQ(sink.arrivals[0], kFirst - 1 + kLatency);
+    EXPECT_EQ(sink.arrivals[1], kFirst + kLatency);
+    EXPECT_EQ(engine.stats().windows, 4u) << workers;
+    EXPECT_EQ(engine.stats().crossings, 2u) << workers;
+  }
+}
+
+// Stress: four tokens circling a four-domain ring for thousands of windows,
+// with a per-hop local delay so the domains are never in lockstep. Every
+// worker count must see the same arrival sequence in every domain; under
+// TSan this exercises thousands of barrier phases on real threads.
+TEST_F(ShardedEngineTest, FourDomainRingIsWorkerCountInvariant) {
+  constexpr size_t kDomains = 4;
+  const TimeNs kLatency = Us(1);
+  struct Hop : PacketSink {
+    EventLoop* loop = nullptr;
+    RemoteEndpoint* next = nullptr;
+    std::vector<TimeNs> arrivals;
     void Accept(PacketPtr p) override {
-      ++hops;
-      reply->Accept(std::move(p));
+      arrivals.push_back(loop->now());
+      const TimeNs hold = static_cast<TimeNs>(arrivals.size() % 7) * 150;
+      loop->Schedule(hold, [this, p = std::move(p)]() mutable { next->Accept(std::move(p)); });
     }
   };
-  Echo on_b;
-  on_b.reply = to_a;
-  Echo on_a;
-  on_a.reply = to_b;
-  to_b->set_sink(&on_b);
-  to_a->set_sink(&on_a);
+  struct Outcome {
+    std::vector<std::vector<TimeNs>> arrivals;
+    uint64_t windows = 0;
+    uint64_t crossings = 0;
+  };
+  auto run = [&](size_t workers) {
+    ShardedEngine engine(workers);
+    std::vector<ShardDomain*> domains;
+    for (size_t i = 0; i < kDomains; ++i) {
+      domains.push_back(engine.AddDomain("d" + std::to_string(i)));
+    }
+    std::vector<Hop> hops(kDomains);
+    for (size_t i = 0; i < kDomains; ++i) {
+      hops[i].loop = &domains[i]->loop();
+      hops[i].next = engine.Connect(domains[i], domains[(i + 1) % kDomains], kLatency);
+    }
+    for (size_t i = 0; i < kDomains; ++i) {
+      hops[i].next->set_sink(&hops[(i + 1) % kDomains]);
+      domains[i]->loop().ScheduleAt(static_cast<TimeNs>(i) * 100,
+                                    [&hop = hops[i]] { hop.next->Accept(AllocPacket()); });
+    }
+    for (TimeNs deadline = Us(500); deadline <= Ms(2); deadline += Us(500)) {
+      engine.Run(deadline);
+    }
+    EXPECT_EQ(engine.stats().workers, workers);
+    Outcome o;
+    for (const Hop& hop : hops) {
+      o.arrivals.push_back(hop.arrivals);
+    }
+    o.windows = engine.stats().windows;
+    o.crossings = engine.stats().crossings;
+    return o;
+  };
+  const Outcome base = run(1);
+  size_t total_hops = 0;
+  for (const auto& a : base.arrivals) {
+    total_hops += a.size();
+  }
+  EXPECT_EQ(total_hops, 5'516u);
+  EXPECT_EQ(base.windows, 1'584u);
+  EXPECT_EQ(base.crossings, 5'520u);
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    const Outcome o = run(workers);
+    EXPECT_EQ(o.arrivals, base.arrivals) << workers;
+    EXPECT_EQ(o.windows, base.windows) << workers;
+    EXPECT_EQ(o.crossings, base.crossings) << workers;
+  }
+}
 
-  a->loop().ScheduleAt(0, [&] { to_b->Accept(AllocPacket()); });
-  engine.Run(Us(100));  // 20 hops of 5us each
+// A throwing event callback surfaces from Run() as the loop's located
+// EventLoopCallbackError whichever domain threw and however many workers
+// ran it, and the engine (with a packet still in flight) then tears down
+// cleanly. When several domains throw in one window, the lowest-indexed
+// domain's exception wins at every worker count.
+TEST_F(ShardedEngineTest, CallbackExceptionIsForwardedFromRun) {
+  auto run = [](size_t workers, std::vector<size_t> throwing) -> std::string {
+    ShardedEngine engine(workers);
+    ShardDomain* a = engine.AddDomain("a");
+    ShardDomain* b = engine.AddDomain("b");
+    RemoteEndpoint* ep = engine.Connect(a, b, Us(5));
+    CollectorSink sink(&b->loop());
+    ep->set_sink(&sink);
+    a->loop().ScheduleAt(Us(9), [&] { ep->Accept(AllocPacket()); });
+    for (size_t d : throwing) {
+      engine.domain(d)->loop().ScheduleAt(Us(10), [d] {
+        throw std::runtime_error("planted failure in domain " + std::to_string(d));
+      });
+    }
+    std::string what;
+    EXPECT_THROW(
+        {
+          try {
+            engine.Run(Ms(1));
+          } catch (const EventLoopCallbackError& e) {
+            what = e.what();
+            throw;
+          }
+        },
+        EventLoopCallbackError);
+    EXPECT_EQ(ThreadBudget::InUse(), 0u);
+    EXPECT_TRUE(sink.arrivals.empty());
+    return what;
+  };
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    for (size_t d : {size_t{0}, size_t{1}}) {
+      const std::string what = run(workers, {d});
+      EXPECT_NE(what.find("planted failure in domain " + std::to_string(d)), std::string::npos)
+          << workers << " workers: " << what;
+      EXPECT_NE(what.find("t=10000ns"), std::string::npos) << what;
+    }
+    const std::string both = run(workers, {1, 0});
+    EXPECT_NE(both.find("planted failure in domain 0"), std::string::npos)
+        << workers << " workers: " << both;
+  }
+}
 
-  EXPECT_EQ(on_b.hops + on_a.hops, 20);
-  EXPECT_EQ(engine.stats().workers, 2u);
+// Per-rack Clos partition: a rack (ToR + hosts) and each spine is one
+// domain, so only ToR<->spine links cross and the lookahead is the fabric's
+// propagation delay. On a real bulk run the worker count must change
+// nothing the simulation produces.
+TEST_F(ShardedEngineTest, ClosRackPartitionIsWorkerCountInvariant) {
+  struct Outcome {
+    uint64_t packets = 0;
+    uint64_t events = 0;
+    uint64_t windows = 0;
+    uint64_t crossings = 0;
+    uint64_t delivered = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  constexpr uint64_t kBytesPerPair = 200'000;
+  auto run = [&](size_t workers) {
+    CpuCostModel costs;
+    ShardedEngine engine(workers);
+    ClosOptions opt;
+    opt.hosts_per_tor = 16;
+    opt.host_template.rx.int_coalesce = Us(20);
+    opt.host_template.gro_factory = MakeJugglerFactory();
+    ShardedClosTestbed t = BuildShardedClos(&engine, &costs, opt);
+    std::vector<std::string> names;
+    for (size_t i = 0; i < engine.domain_count(); ++i) {
+      names.push_back(engine.domain(i)->name());
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"rack_a", "rack_b", "spine_0", "spine_1"}));
+
+    std::vector<EndpointPair> pairs;
+    for (size_t i = 0; i < t.left_hosts.size(); ++i) {
+      pairs.push_back(ConnectHosts(t.left_hosts[i], t.right_hosts[i], 1000, 2000));
+      pairs.back().a_to_b->Send(kBytesPerPair);
+    }
+    EXPECT_EQ(pairs.size(), 16u);
+    Outcome o;
+    for (TimeNs now = Ms(5); now <= Ms(200) && o.delivered < kBytesPerPair * pairs.size();
+         now += Ms(5)) {
+      engine.Run(now);
+      o.delivered = 0;
+      for (const EndpointPair& pair : pairs) {
+        o.delivered += pair.b_to_a->bytes_delivered();
+      }
+    }
+    EXPECT_EQ(engine.stats().lookahead, opt.link_prop);
+    EXPECT_EQ(engine.stats().workers, workers);
+    for (const auto* side : {&t.left_hosts, &t.right_hosts}) {
+      for (Host* h : *side) {
+        o.packets += h->nic_rx()->stats().packets_in;
+      }
+    }
+    for (size_t i = 0; i < engine.domain_count(); ++i) {
+      o.events += engine.domain(i)->executed_events();
+    }
+    o.windows = engine.stats().windows;
+    o.crossings = engine.stats().crossings;
+    return o;
+  };
+  const Outcome base = run(1);
+  EXPECT_EQ(base.delivered, 16 * kBytesPerPair);
+  EXPECT_GT(base.crossings, 0u);
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    const Outcome o = run(workers);
+    EXPECT_EQ(o.packets, base.packets) << workers;
+    EXPECT_EQ(o.events, base.events) << workers;
+    EXPECT_EQ(o.windows, base.windows) << workers;
+    EXPECT_EQ(o.crossings, base.crossings) << workers;
+    EXPECT_EQ(o.delivered, base.delivered) << workers;
+  }
 }
 
 // Cross-thread recycling: storage released on a foreign thread returns to
