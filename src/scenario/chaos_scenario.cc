@@ -230,7 +230,7 @@ void FinishRun(const ChaosOptions& opt, NetFpgaTestbed* t, EndpointPair* pair, L
     r->overload = ovl->stats();
     r->overload_probes = ovl_audit->probes();
     r->overload_peak_pool = ovl_audit->peak_outstanding();
-    r->overload_pool_exhausted = ovl_audit->pool_exhausted_delta();
+    r->overload_pool_exhausted = ovl_audit->pool_exhausted();
     r->overload_ring_drops = t->receiver->nic_rx()->stats().ring_drops;
   }
   r->violations = log->violations();
