@@ -93,8 +93,9 @@ int main(int argc, char** argv) {
                 SignatureKindName(f.signature.kind), f.signature.detail.c_str());
     std::printf("      found at spec #%d (family=%s seed=%llu); shrink accepted %d/%d,"
                 " timeline %zu event(s)\n",
-                f.spec_index, FaultFamilyName(f.spec.family),
-                static_cast<unsigned long long>(f.spec.seed), f.shrink_accepted, f.shrink_runs,
+                f.spec_index, FaultFamilyName(f.spec.chaos.family),
+                static_cast<unsigned long long>(f.spec.chaos.seed), f.shrink_accepted,
+                f.shrink_runs,
                 f.shrunk.TimelineEvents());
     if (!f.bundle_path.empty()) {
       std::printf("      bundle: %s\n", f.bundle_path.c_str());

@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
     std::printf("  notes: %s\n", bundle.notes.c_str());
   }
   std::printf("  spec: family=%s seed=%llu bytes=%llu timeline=%zu event(s)\n\n",
-              FaultFamilyName(bundle.spec.family),
-              static_cast<unsigned long long>(bundle.spec.seed),
-              static_cast<unsigned long long>(bundle.spec.transfer_bytes),
+              FaultFamilyName(bundle.spec.chaos.family),
+              static_cast<unsigned long long>(bundle.spec.chaos.seed),
+              static_cast<unsigned long long>(bundle.spec.chaos.transfer_bytes),
               bundle.spec.TimelineEvents());
 
   int reproduced = 0;

@@ -292,17 +292,11 @@ void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_compl
   // construction; Presto may legitimately hold runs (its documented gap).
   if (pressure_over && wiring_.receiver_nic != nullptr) {
     for (size_t q = 0; q < wiring_.receiver_nic->num_queues(); ++q) {
-      GroEngine* engine = wiring_.receiver_nic->gro(q);
-      Juggler* core = dynamic_cast<Juggler*>(engine);
-      if (core == nullptr) {
-        if (auto* audited = dynamic_cast<JugglerAuditor*>(engine)) {
-          core = audited->inner();
-        }
-      }
-      if (core == nullptr) {
+      auto* audited = dynamic_cast<JugglerAuditor*>(wiring_.receiver_nic->gro(q));
+      if (audited == nullptr) {
         continue;
       }
-      const Juggler::AuditView view = core->Audit();
+      const Juggler::AuditView view = audited->inner()->Audit();
       uint64_t held = 0;
       for (const auto& flow : view.flows) {
         held += flow.buffered_bytes;

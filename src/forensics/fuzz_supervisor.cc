@@ -37,27 +37,28 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       break;
     }
     ScenarioSpec spec = SampleScenarioSpec(&rng, options.limits);
-    spec.plant_flush_skew = options.plant_flush_skew;
+    spec.chaos.plant_flush_skew = options.plant_flush_skew;
     if (options.plant_app_stale_token) {
       // Deterministic overrides, not samples: the stale-token bug only
       // manifests when an attempt times out and its retry reaches the
       // server, so pin link-flap pressure (2-12 ms blackholes) against an
       // attempt timeout it always outlasts.
-      spec.family = FaultFamily::kLinkFlap;
-      spec.app.kind = AppWorkloadKind::kRpc;
-      spec.app.sessions = 2;
-      spec.app.requests_per_session = 6;
-      spec.app.response_bytes = 12'288;
-      spec.app.retry.attempt_timeout = Ms(2);
-      spec.app.plant_stale_token = true;
+      spec.chaos.family = FaultFamily::kLinkFlap;
+      AppWorkloadOptions& app = spec.chaos.app;
+      app.kind = AppWorkloadKind::kRpc;
+      app.sessions = 2;
+      app.requests_per_session = 6;
+      app.response_bytes = 12'288;
+      app.retry.attempt_timeout = Ms(2);
+      app.plant_stale_token = true;
     }
     if (options.plant_corec_wedge) {
       // Deterministic overrides: the wedge only exists on the COREC driver,
       // and a raw bulk transfer makes the resulting stall a clean integrity
       // violation (app retries would muddy the signature).
-      spec.rx_driver = RxDriverKind::kCorec;
-      spec.plant_corec_wedge = true;
-      spec.app = AppWorkloadOptions{};
+      spec.chaos.rx_driver = RxDriverKind::kCorec;
+      spec.chaos.plant_corec_wedge = true;
+      spec.chaos.app = AppWorkloadOptions{};
     }
     ExecOptions exec;
     exec.timeout_ms = options.timeout_ms;
@@ -65,8 +66,9 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
     ++report.specs_run;
     if (options.verbose) {
       std::printf("  spec %3d: family=%s seed=%llu shards=%llu -> %s%s%s\n", i,
-                  FaultFamilyName(spec.family), static_cast<unsigned long long>(spec.seed),
-                  static_cast<unsigned long long>(spec.shards),
+                  FaultFamilyName(spec.chaos.family),
+                  static_cast<unsigned long long>(spec.chaos.seed),
+                  static_cast<unsigned long long>(spec.chaos.shards),
                   SignatureKindName(outcome.signature.kind),
                   outcome.signature.detail.empty() ? "" : ": ",
                   outcome.signature.detail.c_str());

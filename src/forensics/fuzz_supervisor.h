@@ -43,7 +43,7 @@ struct FuzzOptions {
   // retransmit before any sane app timeout expires.
   bool plant_app_stale_token = false;
   // Test-only: run every sampled spec on the COREC receive driver with the
-  // hand-off wedge plant armed (ScenarioSpec::plant_corec_wedge) — a
+  // hand-off wedge plant armed (ChaosOptions::plant_corec_wedge) — a
   // COREC-only stall-to-deadlock defect the pipeline must find, shrink
   // (keeping the corec axis; see Shrinker::SimplifyRxDriver) and replay.
   bool plant_corec_wedge = false;

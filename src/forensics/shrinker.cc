@@ -58,7 +58,7 @@ class Shrinker {
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      const auto& windows = spec->faults.windows();
+      const auto& windows = spec->chaos.fault_override.windows();
       for (size_t skip = 0; skip < windows.size(); ++skip) {
         ScenarioSpec candidate = *spec;
         FaultTimeline pruned;
@@ -67,7 +67,7 @@ class Shrinker {
             pruned.Add(windows[i].start, windows[i].end, windows[i].profile);
           }
         }
-        candidate.faults = std::move(pruned);
+        candidate.chaos.fault_override = std::move(pruned);
         if (StillFails(candidate)) {
           *spec = std::move(candidate);
           any = again = true;
@@ -86,9 +86,10 @@ class Shrinker {
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      for (size_t skip = 0; skip < spec->flaps.size(); ++skip) {
+      for (size_t skip = 0; skip < spec->chaos.flap_override.size(); ++skip) {
         ScenarioSpec candidate = *spec;
-        candidate.flaps.erase(candidate.flaps.begin() + static_cast<ptrdiff_t>(skip));
+        std::vector<FlapWindow>& flaps = candidate.chaos.flap_override;
+        flaps.erase(flaps.begin() + static_cast<ptrdiff_t>(skip));
         if (StillFails(candidate)) {
           *spec = std::move(candidate);
           any = again = true;
@@ -106,34 +107,36 @@ class Shrinker {
   // flap windows from up_at). One attempt per window per round.
   bool HalveWindowSpans(ScenarioSpec* spec) {
     bool any = false;
-    for (size_t i = 0; i < spec->faults.windows().size() && !Exhausted(); ++i) {
-      const auto& w = spec->faults.windows()[i];
+    for (size_t i = 0; i < spec->chaos.fault_override.windows().size() && !Exhausted(); ++i) {
+      const auto& w = spec->chaos.fault_override.windows()[i];
       const TimeNs span = w.end - w.start;
       if (span <= Ms(1)) {
         continue;
       }
       ScenarioSpec candidate = *spec;
       FaultTimeline edited;
-      for (size_t k = 0; k < spec->faults.windows().size(); ++k) {
-        auto win = spec->faults.windows()[k];
+      for (size_t k = 0; k < spec->chaos.fault_override.windows().size(); ++k) {
+        auto win = spec->chaos.fault_override.windows()[k];
         if (k == i) {
           win.end = win.start + span / 2;
         }
         edited.Add(win.start, win.end, win.profile);
       }
-      candidate.faults = std::move(edited);
+      candidate.chaos.fault_override = std::move(edited);
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
       }
     }
-    for (size_t i = 0; i < spec->flaps.size() && !Exhausted(); ++i) {
-      const TimeNs span = spec->flaps[i].up_at - spec->flaps[i].down_at;
+    for (size_t i = 0; i < spec->chaos.flap_override.size() && !Exhausted(); ++i) {
+      const FlapWindow& w = spec->chaos.flap_override[i];
+      const TimeNs span = w.up_at - w.down_at;
       if (span <= Ms(1)) {
         continue;
       }
       ScenarioSpec candidate = *spec;
-      candidate.flaps[i].up_at = candidate.flaps[i].down_at + span / 2;
+      FlapWindow& edited = candidate.chaos.flap_override[i];
+      edited.up_at = edited.down_at + span / 2;
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
@@ -147,9 +150,9 @@ class Shrinker {
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      for (size_t skip = 0; skip < spec->overload_windows.size(); ++skip) {
+      for (size_t skip = 0; skip < spec->chaos.overload.windows.size(); ++skip) {
         ScenarioSpec candidate = *spec;
-        candidate.overload_windows.erase(candidate.overload_windows.begin() +
+        candidate.chaos.overload.windows.erase(candidate.chaos.overload.windows.begin() +
                                          static_cast<ptrdiff_t>(skip));
         if (StillFails(candidate)) {
           *spec = std::move(candidate);
@@ -181,30 +184,30 @@ class Shrinker {
         any = true;
       }
     };
-    for (size_t i = 0; i < spec->overload_windows.size(); ++i) {
-      const OverloadWindow& w = spec->overload_windows[i];
+    for (size_t i = 0; i < spec->chaos.overload.windows.size(); ++i) {
+      const OverloadWindow& w = spec->chaos.overload.windows[i];
       if (w.end - w.start > Ms(1)) {
         try_edit([i](ScenarioSpec* s) {
-          OverloadWindow& e = s->overload_windows[i];
+          OverloadWindow& e = s->chaos.overload.windows[i];
           e.end = e.start + (e.end - e.start) / 2;
         });
       }
-      if (spec->overload_windows[i].flows > 1) {
-        try_edit([i](ScenarioSpec* s) { s->overload_windows[i].flows /= 2; });
+      if (spec->chaos.overload.windows[i].flows > 1) {
+        try_edit([i](ScenarioSpec* s) { s->chaos.overload.windows[i].flows /= 2; });
       }
-      if (spec->overload_windows[i].packets_per_flow > 1) {
-        try_edit([i](ScenarioSpec* s) { s->overload_windows[i].packets_per_flow /= 2; });
+      if (spec->chaos.overload.windows[i].packets_per_flow > 1) {
+        try_edit([i](ScenarioSpec* s) { s->chaos.overload.windows[i].packets_per_flow /= 2; });
       }
-      if (spec->overload_windows[i].kind == OverloadKind::kBrownout &&
-          spec->overload_windows[i].cap_pct < 100) {
+      if (spec->chaos.overload.windows[i].kind == OverloadKind::kBrownout &&
+          spec->chaos.overload.windows[i].cap_pct < 100) {
         try_edit([i](ScenarioSpec* s) {
-          OverloadWindow& e = s->overload_windows[i];
+          OverloadWindow& e = s->chaos.overload.windows[i];
           e.cap_pct = std::min<uint32_t>(100, e.cap_pct * 2);
         });
       }
     }
-    if (!spec->overload_windows.empty() && spec->overload_pool_capacity != 0) {
-      try_edit([](ScenarioSpec* s) { s->overload_pool_capacity *= 2; });
+    if (!spec->chaos.overload.windows.empty() && spec->chaos.overload.pool_capacity != 0) {
+      try_edit([](ScenarioSpec* s) { s->chaos.overload.pool_capacity *= 2; });
     }
     return any;
   }
@@ -214,12 +217,12 @@ class Shrinker {
   // the plant flag with it). A COREC-only failure rejects the candidate, so
   // the minimal repro keeps rx_driver=corec — exactly the evidence wanted.
   bool SimplifyRxDriver(ScenarioSpec* spec) {
-    if (spec->rx_driver == RxDriverKind::kRss || Exhausted()) {
+    if (spec->chaos.rx_driver == RxDriverKind::kRss || Exhausted()) {
       return false;
     }
     ScenarioSpec candidate = *spec;
-    candidate.rx_driver = RxDriverKind::kRss;
-    candidate.plant_corec_wedge = false;
+    candidate.chaos.rx_driver = RxDriverKind::kRss;
+    candidate.chaos.plant_corec_wedge = false;
     if (StillFails(candidate)) {
       *spec = std::move(candidate);
       return true;
@@ -230,8 +233,8 @@ class Shrinker {
   // Halve fault probabilities and delay magnitudes per window.
   bool HalveMagnitudes(ScenarioSpec* spec) {
     bool any = false;
-    for (size_t i = 0; i < spec->faults.windows().size() && !Exhausted(); ++i) {
-      const FaultProfile& p = spec->faults.windows()[i].profile;
+    for (size_t i = 0; i < spec->chaos.fault_override.windows().size() && !Exhausted(); ++i) {
+      const FaultProfile& p = spec->chaos.fault_override.windows()[i].profile;
       FaultProfile halved = p;
       halved.drop_prob = p.drop_prob / 2;
       halved.burst_prob = p.burst_prob / 2;
@@ -247,11 +250,11 @@ class Shrinker {
       }
       ScenarioSpec candidate = *spec;
       FaultTimeline edited;
-      for (size_t k = 0; k < spec->faults.windows().size(); ++k) {
-        const auto& win = spec->faults.windows()[k];
+      for (size_t k = 0; k < spec->chaos.fault_override.windows().size(); ++k) {
+        const auto& win = spec->chaos.fault_override.windows()[k];
         edited.Add(win.start, win.end, k == i ? halved : win.profile);
       }
-      candidate.faults = std::move(edited);
+      candidate.chaos.fault_override = std::move(edited);
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
@@ -263,17 +266,17 @@ class Shrinker {
   // Halve the transfer and the time budget toward their floors.
   bool ShrinkWorkload(ScenarioSpec* spec) {
     bool any = false;
-    if (spec->transfer_bytes / 2 >= options_.min_transfer_bytes && !Exhausted()) {
+    if (spec->chaos.transfer_bytes / 2 >= options_.min_transfer_bytes && !Exhausted()) {
       ScenarioSpec candidate = *spec;
-      candidate.transfer_bytes /= 2;
+      candidate.chaos.transfer_bytes /= 2;
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
       }
     }
-    if (spec->time_limit / 2 >= options_.min_time_limit && !Exhausted()) {
+    if (spec->chaos.time_limit / 2 >= options_.min_time_limit && !Exhausted()) {
       ScenarioSpec candidate = *spec;
-      candidate.time_limit /= 2;
+      candidate.chaos.time_limit /= 2;
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
@@ -287,7 +290,7 @@ class Shrinker {
   // shrink the frame sizes — a minimal app-level repro is usually a single
   // request whose retry misbehaves.
   bool ShrinkAppWorkload(ScenarioSpec* spec) {
-    if (!spec->app.enabled()) {
+    if (!spec->chaos.app.enabled()) {
       return false;
     }
     bool any = false;
@@ -296,24 +299,24 @@ class Shrinker {
         return;
       }
       ScenarioSpec candidate = *spec;
-      edit(&candidate.app);
+      edit(&candidate.chaos.app);
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
       }
     };
-    if (spec->app.sessions > 1) {
+    if (spec->chaos.app.sessions > 1) {
       try_edit([](AppWorkloadOptions* a) { a->sessions = a->sessions / 2; });
     }
-    if (spec->app.requests_per_session > 1) {
+    if (spec->chaos.app.requests_per_session > 1) {
       try_edit([](AppWorkloadOptions* a) {
         a->requests_per_session = a->requests_per_session / 2;
       });
     }
-    if (spec->app.response_bytes > 1'024) {
+    if (spec->chaos.app.response_bytes > 1'024) {
       try_edit([](AppWorkloadOptions* a) { a->response_bytes = a->response_bytes / 2; });
     }
-    if (spec->app.chunk_bytes > 8'192) {
+    if (spec->chaos.app.chunk_bytes > 8'192) {
       try_edit([](AppWorkloadOptions* a) {
         a->chunk_bytes = a->chunk_bytes / 2;
         // Keep the chunk count, not the byte count: fewer bytes per chunk,
@@ -321,7 +324,7 @@ class Shrinker {
         a->transfer_bytes_per_session = a->transfer_bytes_per_session / 2;
       });
     }
-    if (spec->app.transfer_bytes_per_session > spec->app.chunk_bytes) {
+    if (spec->chaos.app.transfer_bytes_per_session > spec->chaos.app.chunk_bytes) {
       try_edit([](AppWorkloadOptions* a) {
         a->transfer_bytes_per_session =
             std::max(a->chunk_bytes, a->transfer_bytes_per_session / 2);
@@ -330,24 +333,24 @@ class Shrinker {
     // Retry-policy knobs: a minimal repro should not keep the full policy
     // that found the bug. Kill the jitter first (it is pure noise in a
     // repro), then walk attempts / backoff / deadline toward their floors.
-    if (spec->app.retry.jitter_pct > 0) {
+    if (spec->chaos.app.retry.jitter_pct > 0) {
       try_edit([](AppWorkloadOptions* a) { a->retry.jitter_pct = 0; });
     }
-    if (spec->app.retry.max_attempts > 1) {
+    if (spec->chaos.app.retry.max_attempts > 1) {
       try_edit([](AppWorkloadOptions* a) {
         a->retry.max_attempts = std::max<uint32_t>(1, a->retry.max_attempts / 2);
       });
     }
-    if (spec->app.retry.backoff_base > 0) {
+    if (spec->chaos.app.retry.backoff_base > 0) {
       try_edit([](AppWorkloadOptions* a) {
         a->retry.backoff_base /= 2;
         a->retry.backoff_max = std::max(a->retry.backoff_base, a->retry.backoff_max / 2);
       });
     }
-    if (spec->app.retry.deadline / 2 >= spec->app.retry.attempt_timeout) {
+    if (spec->chaos.app.retry.deadline / 2 >= spec->chaos.app.retry.attempt_timeout) {
       try_edit([](AppWorkloadOptions* a) { a->retry.deadline /= 2; });
     }
-    if (spec->app.retry.attempt_timeout > Ms(2)) {
+    if (spec->chaos.app.retry.attempt_timeout > Ms(2)) {
       try_edit([](AppWorkloadOptions* a) {
         a->retry.attempt_timeout = std::max<TimeNs>(Ms(2), a->retry.attempt_timeout / 2);
         a->retry.deadline = std::max(a->retry.deadline, a->retry.attempt_timeout);

@@ -191,8 +191,7 @@ void CorecRx::Handoff() {
         config_.recorder->Record(loop_->now(), TraceKind::kCorecStall, parked,
                                  slots_.size());
       }
-      if (config_.debug_corec_wedge_depth > 0 &&
-          parked >= config_.debug_corec_wedge_depth) {
+      if (config_.debug_corec_wedge) {
         wedged_ = true;
         corec_stats_.wedged = 1;
       }

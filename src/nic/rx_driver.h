@@ -85,12 +85,11 @@ struct NicRxConfig {
   // perf_core corec gate) while staying small enough that mixed-size windows
   // — and therefore genuine out-of-order commits — still occur under bursts.
   size_t corec_claim_window = 32;
-  // COREC fault plant (tests/fuzzer only): when > 0, the in-order hand-off
-  // stage wedges permanently the first time it observes `depth` or more
-  // completed slots parked behind an incomplete head window — claimed
-  // packets are never handed to GRO again, so the transfer stalls and the
-  // integrity auditors fire. 0 disables the plant.
-  size_t debug_corec_wedge_depth = 0;
+  // COREC fault plant (tests/fuzzer only): the in-order hand-off stage
+  // wedges permanently the first time it observes a completed slot parked
+  // behind an incomplete head window — claimed packets are never handed to
+  // GRO again, so the transfer stalls and the integrity auditors fire.
+  bool debug_corec_wedge = false;
   // Optional flight recorder handed to the GRO engines and the interrupt
   // path; null leaves tracing off.
   FlightRecorder* recorder = nullptr;

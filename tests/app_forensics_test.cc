@@ -58,13 +58,13 @@ TEST(AppForensicsTest, ReportCarriesAppCounters) {
 
 TEST(AppForensicsTest, InProcessRunReportsAppEvidence) {
   ScenarioSpec spec;
-  spec.seed = 5;
-  spec.family = FaultFamily::kLinkFlap;
-  spec.app.kind = AppWorkloadKind::kRpc;
-  spec.app.sessions = 2;
-  spec.app.requests_per_session = 6;
-  spec.app.response_bytes = 12'288;
-  spec.app.retry.attempt_timeout = Ms(2);
+  spec.chaos.seed = 5;
+  spec.chaos.family = FaultFamily::kLinkFlap;
+  spec.chaos.app.kind = AppWorkloadKind::kRpc;
+  spec.chaos.app.sessions = 2;
+  spec.chaos.app.requests_per_session = 6;
+  spec.chaos.app.response_bytes = 12'288;
+  spec.chaos.app.retry.attempt_timeout = Ms(2);
   const SpecRunReport rep = RunSpecInProcess(spec);
   EXPECT_TRUE(rep.ok) << (rep.violation_messages.empty() ? "not ok"
                                                          : rep.violation_messages.front());
@@ -106,11 +106,11 @@ TEST(AppForensicsEndToEndTest, FuzzerFindsShrinksAndReplaysStaleTokenBug) {
 
   // The shrunk spec still carries the app workload (the bug lives there),
   // and the shrinker made real progress on it.
-  EXPECT_TRUE(found->shrunk.app.enabled());
-  EXPECT_TRUE(found->shrunk.app.plant_stale_token);
+  EXPECT_TRUE(found->shrunk.chaos.app.enabled());
+  EXPECT_TRUE(found->shrunk.chaos.app.plant_stale_token);
   EXPECT_GT(found->shrink_accepted, 0);
-  EXPECT_LE(found->shrunk.app.sessions * found->shrunk.app.RequestsPerSession(),
-            found->spec.app.sessions * found->spec.app.RequestsPerSession());
+  EXPECT_LE(found->shrunk.chaos.app.sessions * found->shrunk.chaos.app.RequestsPerSession(),
+            found->spec.chaos.app.sessions * found->spec.chaos.app.RequestsPerSession());
 
   // The bundle replays deterministically: identical signature, twice.
   ASSERT_FALSE(found->bundle_path.empty());

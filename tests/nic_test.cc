@@ -375,8 +375,8 @@ TEST(CorecRxTest, MatchesRssDeliveryByteForByte) {
 }
 
 TEST(CorecRxTest, WedgePlantStallsHandoffPermanently) {
-  // debug_corec_wedge_depth = 1: the first stall (completed slots parked
-  // behind an incomplete head window) wedges the hand-off stage for good —
+  // debug_corec_wedge: the first stall (completed slots parked behind an
+  // incomplete head window) wedges the hand-off stage for good —
   // claimed packets never reach GRO again. This is the defect the
   // rx-conformance forensics tests hunt end to end.
   EventLoop loop;
@@ -384,7 +384,7 @@ TEST(CorecRxTest, WedgePlantStallsHandoffPermanently) {
   CpuCostModel costs;
   SegmentCollector sink(&loop);
   NicRxConfig cfg = CorecConfig();
-  cfg.debug_corec_wedge_depth = 1;
+  cfg.debug_corec_wedge = true;
   std::unique_ptr<RxDriver> nic =
       MakeRxDriver(&loop, &costs, cfg, StandardFactory(), &sink);
   for (Seq s = 0; s < 40; ++s) {

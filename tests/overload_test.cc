@@ -434,16 +434,21 @@ TEST(OverloadJsonTest, WindowRejectsUnknownKind) {
   EXPECT_FALSE(error.empty());
 }
 
+// A spec's overload block reaches the ChaosOptions a replayed bundle runs:
+// windows and both caps survive the trip through JSON.
 TEST(OverloadSpecTest, SpecCarriesOverloadIntoChaosOptions) {
   ScenarioSpec spec;
   OverloadWindow w;
   w.start = Ms(6);
   w.end = Ms(11);
   w.kind = OverloadKind::kIncast;
-  spec.overload_windows.push_back(w);
-  spec.overload_pool_capacity = 2'222;
-  spec.overload_ring_capacity = 128;
-  const ChaosOptions opt = spec.ToChaosOptions();
+  spec.chaos.overload.windows.push_back(w);
+  spec.chaos.overload.pool_capacity = 2'222;
+  spec.chaos.overload.ring_capacity = 128;
+  ScenarioSpec back;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::FromJson(spec.ToJson(), &back, &error)) << error;
+  const ChaosOptions& opt = back.chaos;
   ASSERT_EQ(opt.overload.windows.size(), 1u);
   EXPECT_TRUE(opt.overload.windows[0] == w);
   EXPECT_EQ(opt.overload.pool_capacity, 2'222u);
@@ -459,17 +464,17 @@ TEST(OverloadSpecTest, SampledOverloadSpecsAreDeterministicAndWellFormed) {
     const ScenarioSpec s1 = SampleScenarioSpec(&r1, limits);
     const ScenarioSpec s2 = SampleScenarioSpec(&r2, limits);
     ASSERT_EQ(s1.ToJson().Dump(2), s2.ToJson().Dump(2)) << "spec " << i;
-    ASSERT_FALSE(s1.overload_windows.empty()) << "overload_prob=1 must emit windows";
-    for (const OverloadWindow& w : s1.overload_windows) {
+    ASSERT_FALSE(s1.chaos.overload.windows.empty()) << "overload_prob=1 must emit windows";
+    for (const OverloadWindow& w : s1.chaos.overload.windows) {
       EXPECT_LT(w.start, w.end);
       EXPECT_GE(w.flows, 1u);
       EXPECT_GE(w.packets_per_flow, 1u);
       EXPECT_GT(w.burst_interval, 0);
       EXPECT_GE(w.cap_pct, 1u);
       EXPECT_LE(w.cap_pct, 100u);
-      EXPECT_LT(w.end, s1.time_limit / 2) << "the tail must stay pressure-free";
+      EXPECT_LT(w.end, s1.chaos.time_limit / 2) << "the tail must stay pressure-free";
     }
-    EXPECT_GE(s1.overload_pool_capacity, 1'024u);
+    EXPECT_GE(s1.chaos.overload.pool_capacity, 1'024u);
 
     // Round trip through JSON, byte-stably, with the overload block intact.
     Json parsed;
@@ -490,11 +495,11 @@ TEST(OverloadSpecTest, SampledOverloadSpecsAreDeterministicAndWellFormed) {
     return SampleScenarioSpec(&r, limits);
   }();
   const ScenarioSpec without = SampleScenarioSpec(&r3, no_ovl);
-  EXPECT_TRUE(without.overload_windows.empty());
-  EXPECT_EQ(with.seed, without.seed);
-  EXPECT_EQ(with.transfer_bytes, without.transfer_bytes);
-  EXPECT_EQ(static_cast<int>(with.family), static_cast<int>(without.family));
-  EXPECT_EQ(with.max_flows, without.max_flows);
+  EXPECT_TRUE(without.chaos.overload.windows.empty());
+  EXPECT_EQ(with.chaos.seed, without.chaos.seed);
+  EXPECT_EQ(with.chaos.transfer_bytes, without.chaos.transfer_bytes);
+  EXPECT_EQ(static_cast<int>(with.chaos.family), static_cast<int>(without.chaos.family));
+  EXPECT_EQ(with.chaos.max_flows, without.chaos.max_flows);
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ TEST(RxConformanceTest, CorecCountersAreLiveAndConsistent) {
 
 // A COREC-only defect with a known identity: the in-order hand-off stage
 // wedges permanently at its first out-of-order stall
-// (NicRxConfig::debug_corec_wedge_depth). The forensics pipeline must find
+// (NicRxConfig::debug_corec_wedge). The forensics pipeline must find
 // it, shrink it WITHOUT losing the corec axis (SimplifyRxDriver's rss
 // candidate completes cleanly, so it must be rejected), and replay the
 // bundle to the identical fingerprint, twice.
@@ -247,9 +247,9 @@ TEST(RxConformanceForensicsTest, PlantedCorecWedgeIsFoundShrunkAndReplayed) {
 
   // The minimal repro keeps the defect's axes: the corec driver and the
   // plant survive shrinking, and the timeline is small.
-  EXPECT_EQ(found->shrunk.rx_driver, RxDriverKind::kCorec)
+  EXPECT_EQ(found->shrunk.chaos.rx_driver, RxDriverKind::kCorec)
       << "SimplifyRxDriver dropped the corec axis from a corec-only bug";
-  EXPECT_TRUE(found->shrunk.plant_corec_wedge);
+  EXPECT_TRUE(found->shrunk.chaos.plant_corec_wedge);
   EXPECT_LE(found->shrunk.TimelineEvents(), 3u);
 
   ASSERT_FALSE(found->bundle_path.empty());
@@ -275,11 +275,11 @@ TEST(RxConformanceForensicsTest, WedgeFailsOnCorecOnly) {
   // Delay spikes park packets and release them as a burst deeper than one
   // claim window, which is what makes consumer windows unequal — a smaller
   // later window commits first, the hand-off stalls, and the plant fires.
-  spec.seed = 3;
-  spec.family = FaultFamily::kDelaySpike;
-  spec.transfer_bytes = 600'000;
-  spec.rx_driver = RxDriverKind::kCorec;
-  spec.plant_corec_wedge = true;
+  spec.chaos.seed = 3;
+  spec.chaos.family = FaultFamily::kDelaySpike;
+  spec.chaos.transfer_bytes = 600'000;
+  spec.chaos.rx_driver = RxDriverKind::kCorec;
+  spec.chaos.plant_corec_wedge = true;
 
   ExecOptions exec;
   exec.timeout_ms = 60'000;
@@ -288,7 +288,7 @@ TEST(RxConformanceForensicsTest, WedgeFailsOnCorecOnly) {
       << corec.signature.detail;
 
   ScenarioSpec rss = spec;
-  rss.rx_driver = RxDriverKind::kRss;  // plant is meaningless off corec
+  rss.chaos.rx_driver = RxDriverKind::kRss;  // plant is meaningless off corec
   const SpecOutcome clean = ExecuteSpec(rss, exec);
   EXPECT_EQ(clean.signature.kind, SignatureKind::kClean) << clean.signature.detail;
 }
