@@ -28,7 +28,9 @@ Result RunOnce(TimeNs reorder, TimeNs ofo_timeout, bool bulk) {
   NetFpgaOptions opt;
   opt.link_rate_bps = 10 * kGbps;
   opt.reorder_delay = reorder;
-  opt.drop_prob = 0.001;
+  FaultProfile loss;
+  loss.drop_prob = 0.001;
+  opt.faults = FaultTimeline::Always(loss);
   opt.sender = DefaultHost();
   opt.receiver = DefaultHost();
   JugglerConfig jcfg;

@@ -11,8 +11,7 @@ FaultStage::FaultStage(EventLoop* loop, std::string name, FaultTimeline timeline
                        PacketSink* sink)
     : loop_(loop), name_(std::move(name)), timeline_(std::move(timeline)), rng_(seed),
       sink_(sink) {
-  JUG_CHECK(sink_ != nullptr);
-  JUG_CHECK(loop_ != nullptr || !timeline_.needs_clock());
+  JUG_CHECK(loop_ != nullptr && sink_ != nullptr);
   for (const auto& w : timeline_.windows()) {
     JUG_CHECK(w.profile.burst_len_min >= 1);
     JUG_CHECK(w.profile.burst_len_max >= w.profile.burst_len_min);
@@ -34,8 +33,7 @@ void FaultStage::Accept(PacketPtr packet) {
     return;
   }
 
-  const TimeNs now = loop_ != nullptr ? loop_->now() : 0;
-  const FaultProfile* p = timeline_.ActiveAt(now);
+  const FaultProfile* p = timeline_.ActiveAt(loop_->now());
   if (p == nullptr || !p->any()) {
     ++stats_.passed;
     sink_->Accept(std::move(packet));

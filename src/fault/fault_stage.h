@@ -75,13 +75,6 @@ class FaultTimeline {
     return t;
   }
 
-  // Back-compat with the old DropStage: uniform independent drops, forever.
-  static FaultTimeline UniformDrop(double drop_prob) {
-    FaultProfile p;
-    p.drop_prob = drop_prob;
-    return Always(p);
-  }
-
   void Add(TimeNs start, TimeNs end, const FaultProfile& profile) {
     windows_.push_back(Window{start, end, profile});
   }
@@ -95,19 +88,6 @@ class FaultTimeline {
       }
     }
     return active;
-  }
-
-  // True when fault decisions depend on the clock (bounded windows or delay
-  // spikes). A clockless stage (loop == nullptr) only supports timelines
-  // where this is false.
-  bool needs_clock() const {
-    for (const Window& w : windows_) {
-      if (w.start != 0 || w.end != std::numeric_limits<TimeNs>::max() ||
-          w.profile.delay_prob > 0) {
-        return true;
-      }
-    }
-    return false;
   }
 
   bool empty() const { return windows_.empty(); }
@@ -134,8 +114,6 @@ struct FaultStats {
 
 class FaultStage : public PacketSink {
  public:
-  // `loop` may be nullptr iff `!timeline.needs_clock()` (static, window-free
-  // profiles such as the DropStage compatibility mode).
   FaultStage(EventLoop* loop, std::string name, FaultTimeline timeline, uint64_t seed,
              PacketSink* sink);
 
@@ -148,15 +126,12 @@ class FaultStage : public PacketSink {
   const FaultStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
-  // DropStage-compatible accessor.
-  uint64_t drops() const { return stats_.drops; }
-
  private:
   // Trace hook: one line per applied fault, gated on recorder_.
   void Trace(int code, const Packet& p) {
     if (recorder_ != nullptr) {
-      recorder_->Record(loop_ != nullptr ? loop_->now() : 0, TraceKind::kFault,
-                        static_cast<uint64_t>(code), p.seq, p.payload_len);
+      recorder_->Record(loop_->now(), TraceKind::kFault, static_cast<uint64_t>(code), p.seq,
+                        p.payload_len);
     }
   }
 

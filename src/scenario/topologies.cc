@@ -80,20 +80,14 @@ NetFpgaTestbed BuildNetFpga(const Partition& partition, const CpuCostModel* cost
   t.rev_link = partition.AddLink(&t.fabric, rcv, snd, "rev", host_link, to_sender);
   t.receiver = t.fabric.AddHost(rcv.loop, rcv.factory, costs, options.receiver, t.rev_link);
 
-  // Forward pipeline: fwd_link -> reorder -> (drop) -> (fault) -> receiver
-  // NIC. The fault stage sits nearest the NIC so its corruptions and delay
-  // spikes hit after the topology's own reordering, like a last-hop fault.
+  // Forward pipeline: fwd_link -> reorder -> (fault) -> receiver NIC. The
+  // fault stage sits nearest the NIC so its corruptions and delay spikes hit
+  // after the topology's own reordering, like a last-hop fault.
   PacketSink* into_receiver = t.receiver->wire_in();
   if (!options.faults.empty()) {
     t.fault = t.fabric.AddFault(rcv.loop, "fault", options.faults, options.seed * 6151 + 29,
                                 into_receiver);
     into_receiver = t.fault;
-  }
-  if (options.drop_prob > 0.0) {
-    t.fabric.drops.push_back(
-        std::make_unique<DropStage>(options.drop_prob, options.seed * 7919 + 13, into_receiver));
-    t.drop = t.fabric.drops.back().get();
-    into_receiver = t.drop;
   }
   t.fabric.reorders.push_back(std::make_unique<ReorderStage>(
       rcv.loop, std::vector<TimeNs>{0, options.reorder_delay}, options.seed, into_receiver));

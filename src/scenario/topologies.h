@@ -2,7 +2,8 @@
 //
 //   NetFpgaTestbed — Figure 11: two hosts through a switch that hashes each
 //                    packet uniformly onto one of two delay lanes (precisely
-//                    controlled reordering), with optional random drops.
+//                    controlled reordering), with optional receiver-side
+//                    fault injection (FaultStage).
 //   ClosTestbed    — Figure 19: two ToRs, two spines, N hosts per ToR, ToR
 //                    uplinks balanced per-flow / per-TSO / per-packet.
 //   DumbbellTestbed— Figure 17: two senders and two receivers across a
@@ -86,7 +87,6 @@ struct Fabric {
   std::vector<std::unique_ptr<Link>> links;
   std::vector<std::unique_ptr<Host>> hosts;
   std::vector<std::unique_ptr<ReorderStage>> reorders;
-  std::vector<std::unique_ptr<DropStage>> drops;
   std::vector<std::unique_ptr<FaultStage>> faults;
   std::vector<std::unique_ptr<LatchSink>> latches;
 
@@ -121,7 +121,6 @@ struct NetFpgaOptions {
   int64_t link_rate_bps = 10 * kGbps;
   TimeNs base_delay = Us(5);      // lane 0 delay (fabric latency)
   TimeNs reorder_delay = Us(500);  // lane 1 extra delay: "τ µs reordering"
-  double drop_prob = 0.0;          // applied receiver-side, before the NIC
   // Drop-tail bound on both host links. Deep enough (milliseconds at line
   // rate) that normal runs never touch it — TCP's in-flight ceiling is
   // max_cwnd = 3MB — but finite, so overload storms hit a wall instead of
@@ -129,7 +128,7 @@ struct NetFpgaOptions {
   // (chaos runs flag that as a setup bug when overload faults are active).
   int64_t host_link_queue_bytes = 16'000'000;
   // Fault-injection schedule applied receiver-side, nearest the NIC (after
-  // the reorder and drop stages). Empty = no fault stage.
+  // the reorder stage). Empty = no fault stage.
   FaultTimeline faults;
   uint64_t seed = 1;
   HostConfig sender;
@@ -142,7 +141,6 @@ struct NetFpgaTestbed {
   NodeDomain receiver_domain;  // also runs the switch's stages
   Host* sender = nullptr;
   Host* receiver = nullptr;
-  DropStage* drop = nullptr;
   ReorderStage* reorder = nullptr;
   FaultStage* fault = nullptr;   // set when options.faults is non-empty
   Link* fwd_link = nullptr;      // sender -> receiver data path

@@ -15,7 +15,6 @@
 #include "src/fault/link_flapper.h"
 #include "src/fault/stream_integrity.h"
 #include "src/net/link.h"
-#include "src/net/stages.h"
 #include "src/nic/nic_rx.h"
 #include "src/scenario/gro_factories.h"
 #include "src/sim/event_loop.h"
@@ -30,7 +29,7 @@ class CollectorSink : public PacketSink {
   explicit CollectorSink(EventLoop* loop) : loop_(loop) {}
 
   void Accept(PacketPtr packet) override {
-    arrival_times.push_back(loop_ != nullptr ? loop_->now() : 0);
+    arrival_times.push_back(loop_->now());
     packets.push_back(std::move(packet));
   }
 
@@ -44,14 +43,15 @@ class CollectorSink : public PacketSink {
 // ---------------------------------------------------------- FaultStage ----
 
 TEST(FaultStageTest, PassThroughWithEmptyTimeline) {
-  CollectorSink sink(nullptr);
-  FaultStage stage(nullptr, "f", FaultTimeline{}, 1, &sink);
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultStage stage(&loop, "f", FaultTimeline{}, 1, &sink);
   for (int i = 0; i < 100; ++i) {
     stage.Accept(MakeDataPacket(TestFlow(), static_cast<Seq>(i) * kMss, kMss));
   }
   EXPECT_EQ(sink.packets.size(), 100u);
   EXPECT_EQ(stage.stats().passed, 100u);
-  EXPECT_EQ(stage.drops(), 0u);
+  EXPECT_EQ(stage.stats().drops, 0u);
 }
 
 TEST(FaultStageTest, SameSeedSameFaultPattern) {
@@ -60,8 +60,9 @@ TEST(FaultStageTest, SameSeedSameFaultPattern) {
   p.dup_prob = 0.1;
   p.corrupt_prob = 0.05;
   auto run = [&](uint64_t seed) {
-    CollectorSink sink(nullptr);
-    FaultStage stage(nullptr, "f", FaultTimeline::Always(p), seed, &sink);
+    EventLoop loop;
+    CollectorSink sink(&loop);
+    FaultStage stage(&loop, "f", FaultTimeline::Always(p), seed, &sink);
     for (int i = 0; i < 2000; ++i) {
       stage.Accept(MakeDataPacket(TestFlow(), static_cast<Seq>(i) * kMss, kMss));
     }
@@ -84,8 +85,9 @@ TEST(FaultStageTest, SameSeedSameFaultPattern) {
 TEST(FaultStageTest, DuplicateEmitsIdenticalCopyAfterOriginal) {
   FaultProfile p;
   p.dup_prob = 1.0;
-  CollectorSink sink(nullptr);
-  FaultStage stage(nullptr, "f", FaultTimeline::Always(p), 1, &sink);
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultStage stage(&loop, "f", FaultTimeline::Always(p), 1, &sink);
   stage.Accept(MakeDataPacket(TestFlow(), 7 * kMss, kMss));
   ASSERT_EQ(sink.packets.size(), 2u);
   EXPECT_EQ(sink.packets[0]->seq, 7 * kMss);
@@ -97,8 +99,9 @@ TEST(FaultStageTest, DuplicateEmitsIdenticalCopyAfterOriginal) {
 TEST(FaultStageTest, CorruptMarksButStillForwards) {
   FaultProfile p;
   p.corrupt_prob = 1.0;
-  CollectorSink sink(nullptr);
-  FaultStage stage(nullptr, "f", FaultTimeline::Always(p), 1, &sink);
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultStage stage(&loop, "f", FaultTimeline::Always(p), 1, &sink);
   stage.Accept(MakeDataPacket(TestFlow(), 0, kMss));
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_TRUE(sink.packets[0]->corrupted);
@@ -108,8 +111,9 @@ TEST(FaultStageTest, CorruptMarksButStillForwards) {
 TEST(FaultStageTest, TruncateShortensAndMarksCorrupted) {
   FaultProfile p;
   p.truncate_prob = 1.0;
-  CollectorSink sink(nullptr);
-  FaultStage stage(nullptr, "f", FaultTimeline::Always(p), 1, &sink);
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultStage stage(&loop, "f", FaultTimeline::Always(p), 1, &sink);
   stage.Accept(MakeDataPacket(TestFlow(), 0, kMss));
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_LT(sink.packets[0]->payload_len, kMss);
@@ -123,8 +127,9 @@ TEST(FaultStageTest, BurstDropsConsecutivePackets) {
   p.burst_prob = 1.0;  // first packet starts a burst...
   p.burst_len_min = 4;
   p.burst_len_max = 4;
-  CollectorSink sink(nullptr);
-  FaultStage stage(nullptr, "f", FaultTimeline::Always(p), 1, &sink);
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultStage stage(&loop, "f", FaultTimeline::Always(p), 1, &sink);
   for (int i = 0; i < 4; ++i) {
     stage.Accept(MakeDataPacket(TestFlow(), static_cast<Seq>(i) * kMss, kMss));
   }
@@ -174,7 +179,7 @@ TEST(FaultStageTest, TimelineWindowsGateFaults) {
   ASSERT_EQ(sink.packets.size(), 2u);
   EXPECT_EQ(sink.packets[0]->seq, 0u);
   EXPECT_EQ(sink.packets[1]->seq, 2 * kMss);
-  EXPECT_EQ(stage.drops(), 1u);
+  EXPECT_EQ(stage.stats().drops, 1u);
 }
 
 TEST(FaultStageTest, LastMatchingWindowWins) {
@@ -191,17 +196,19 @@ TEST(FaultStageTest, LastMatchingWindowWins) {
   EXPECT_EQ(sink.packets.size(), 1u);
 }
 
-TEST(FaultStageTest, DropStageAliasKeepsBehavior) {
-  // The folded DropStage must still be a clockless uniform dropper with the
-  // drops() accessor (bench/fig14 and the topology builders rely on it).
-  CollectorSink sink(nullptr);
-  DropStage stage(0.5, 99, &sink);
-  for (int i = 0; i < 1000; ++i) {
+// An always-on profile with only drop_prob set is Fig. 14's uniform loss
+// injection: independent drops at the configured rate.
+TEST(FaultStageTest, DropsAtConfiguredRate) {
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  FaultProfile p;
+  p.drop_prob = 0.1;
+  FaultStage stage(&loop, "f", FaultTimeline::Always(p), 11, &sink);
+  for (int i = 0; i < 10000; ++i) {
     stage.Accept(MakeDataPacket(TestFlow(), static_cast<Seq>(i) * kMss, kMss));
   }
-  EXPECT_EQ(stage.drops() + sink.packets.size(), 1000u);
-  EXPECT_GT(stage.drops(), 350u);
-  EXPECT_LT(stage.drops(), 650u);
+  EXPECT_NEAR(static_cast<double>(stage.stats().drops), 1000.0, 120.0);
+  EXPECT_EQ(sink.packets.size() + stage.stats().drops, 10000u);
 }
 
 // ------------------------------------------- NIC checksum validation ------
@@ -418,7 +425,7 @@ TEST(FaultTimelineTest, ZeroDurationWindowIsInert) {
   }
   loop.Run();
   EXPECT_EQ(sink.packets.size(), 10u);
-  EXPECT_EQ(stage.drops(), 0u);
+  EXPECT_EQ(stage.stats().drops, 0u);
 }
 
 TEST(FaultStageTest, WindowsEntirelyInThePastNeverFire) {
@@ -441,7 +448,7 @@ TEST(FaultStageTest, WindowsEntirelyInThePastNeverFire) {
   }
   loop.Run();
   EXPECT_EQ(sink.packets.size(), 20u);
-  EXPECT_EQ(stage.drops(), 0u);
+  EXPECT_EQ(stage.stats().drops, 0u);
   EXPECT_EQ(stage.stats().bursts_started, 0u);
 }
 

@@ -103,7 +103,9 @@ TEST(NetFpgaIntegrationTest, DropsRecoveredThroughJuggler) {
   SimWorld world;
   NetFpgaOptions opt;
   opt.reorder_delay = Us(250);
-  opt.drop_prob = 0.001;
+  FaultProfile loss;
+  loss.drop_prob = 0.001;
+  opt.faults = FaultTimeline::Always(loss);
   opt.sender = BaseHost();
   opt.receiver = BaseHost();
   opt.receiver.gro_factory = MakeJugglerFactory();
@@ -112,7 +114,7 @@ TEST(NetFpgaIntegrationTest, DropsRecoveredThroughJuggler) {
   pair.a_to_b->Send(5'000'000);
   world.loop.RunUntil(Sec(1));
   EXPECT_EQ(pair.b_to_a->bytes_delivered(), 5'000'000u);
-  EXPECT_GT(t.drop->drops(), 0u);
+  EXPECT_GT(t.fault->stats().drops, 0u);
 }
 
 TEST(NetFpgaIntegrationTest, MessageLatencyMeasured) {

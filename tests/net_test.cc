@@ -193,31 +193,6 @@ TEST(ReorderStageTest, LanePreservesFifo) {
   EXPECT_EQ(sink.packets[1]->seq, kMss);
 }
 
-// ---- DropStage ----
-
-TEST(DropStageTest, DropsAtConfiguredRate) {
-  EventLoop loop;
-  PacketFactory f;
-  CollectorSink sink(&loop);
-  DropStage stage(0.1, 11, &sink);
-  for (int i = 0; i < 10000; ++i) {
-    stage.Accept(WirePacket(&f, 0));
-  }
-  EXPECT_NEAR(static_cast<double>(stage.drops()), 1000.0, 120.0);
-  EXPECT_EQ(sink.packets.size() + stage.drops(), 10000u);
-}
-
-TEST(DropStageTest, ZeroProbabilityDropsNothing) {
-  EventLoop loop;
-  PacketFactory f;
-  CollectorSink sink(&loop);
-  DropStage stage(0.0, 11, &sink);
-  for (int i = 0; i < 1000; ++i) {
-    stage.Accept(WirePacket(&f, 0));
-  }
-  EXPECT_EQ(stage.drops(), 0u);
-}
-
 // ---- LoadBalancer ----
 
 TEST(LoadBalancerTest, EcmpIsFlowSticky) {
