@@ -51,16 +51,14 @@ inline HostConfig DefaultHost() {
 
 // Juggler tuned per §5.2.1 for a given line rate and expected reordering:
 // inseq_timeout = time to receive one 64KB TSO at line rate; ofo_timeout =
-// max expected path-delay difference minus the coalescing period.
-inline JugglerConfig TunedJuggler(int64_t line_rate_bps, TimeNs expected_reorder,
-                                  TimeNs int_coalesce = Us(125)) {
+// the expected reordering plus 50us of headroom.
+inline JugglerConfig TunedJuggler(int64_t line_rate_bps, TimeNs expected_reorder) {
   JugglerConfig config;
   config.inseq_timeout = SerializationTime(kMaxTsoPayload, line_rate_bps);
   // §5.2.1: "it is better to slightly over-estimate ofo_timeout since packet
   // loss is rare in datacenters". Under continuous line-rate load NAPI stays
   // in polling mode, so interrupt coalescing absorbs less than a full tau0 of
   // the reordering; tune with headroom above tau rather than shaving tau0.
-  (void)int_coalesce;
   const TimeNs ofo = expected_reorder + Us(50);
   config.ofo_timeout = ofo > Us(50) ? ofo : Us(50);
   return config;

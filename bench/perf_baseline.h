@@ -13,13 +13,6 @@ inline constexpr double kEventLoopEventsPerSec = 47068459.3;
 inline constexpr double kTimerChurnOpsPerSec = 125491735.4;
 inline constexpr double kGroDatapathPacketsPerSec = 70407684.6;
 
-// Heap-era reference (binary-heap timers, per-packet dispatch,
-// per-MTU heap allocation), measured at commit bb7f1e8.
-inline constexpr char kHeapEraCommit[] = "bb7f1e8";
-inline constexpr double kHeapEraEventLoopEventsPerSec = 14268317.0;
-inline constexpr double kHeapEraTimerChurnOpsPerSec = 18594931.0;
-inline constexpr double kHeapEraGroDatapathPacketsPerSec = 19435172.0;
-
 // bench/perf_fabric reference: 32-host Clos bulk transfer at ONE
 // worker on the sharded engine.
 inline constexpr double kFabricClosPacketsPerSec = 1046273.0;

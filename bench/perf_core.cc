@@ -317,31 +317,21 @@ int GateAgainstBaseline(const Results& r, double tolerance) {
     const char* name;
     double current;
     double baseline;
-    double heap_era;
   };
   const Metric metrics[] = {
-      {"event_loop events/sec", r.events_per_sec, perf_baseline::kEventLoopEventsPerSec,
-       perf_baseline::kHeapEraEventLoopEventsPerSec},
-      {"timer_churn ops/sec", r.churn_ops_per_sec, perf_baseline::kTimerChurnOpsPerSec,
-       perf_baseline::kHeapEraTimerChurnOpsPerSec},
+      {"event_loop events/sec", r.events_per_sec, perf_baseline::kEventLoopEventsPerSec},
+      {"timer_churn ops/sec", r.churn_ops_per_sec, perf_baseline::kTimerChurnOpsPerSec},
       {"gro_datapath packets/sec", r.packets_per_sec,
-       perf_baseline::kGroDatapathPacketsPerSec,
-       perf_baseline::kHeapEraGroDatapathPacketsPerSec},
+       perf_baseline::kGroDatapathPacketsPerSec},
   };
   int failures = 0;
   for (const Metric& m : metrics) {
     const double ratio = Ratio(m.current, m.baseline);
     if (ratio < tolerance) {
-      // Both reference eras, so a failure log shows whether the regression
-      // merely gives back the overhaul or falls below the original seed.
       std::fprintf(stderr,
                    "PERF GATE FAIL: %s = %.0f is %.1fx of baseline %.0f "
-                   "(tolerance %.1fx of commit %s)\n"
-                   "                wheel-era reference: %.0f @ %s\n"
-                   "                heap-era reference:  %.0f @ %s (%.1fx of that)\n",
-                   m.name, m.current, ratio, m.baseline, tolerance, perf_baseline::kCommit,
-                   m.baseline, perf_baseline::kCommit, m.heap_era,
-                   perf_baseline::kHeapEraCommit, Ratio(m.current, m.heap_era));
+                   "(tolerance %.1fx of commit %s)\n",
+                   m.name, m.current, ratio, m.baseline, tolerance, perf_baseline::kCommit);
       ++failures;
     }
   }
@@ -458,9 +448,8 @@ void WriteJson(const Results& r, const BaselineView& base, const std::string& pa
 }
 
 // Emits a fresh bench/perf_baseline.h recording `r` as the new reference.
-// The heap-era and fabric constants are carried forward verbatim so a
-// regeneration never loses the historical reference or perf_fabric's gate
-// number.
+// The fabric constant is carried forward verbatim so a regeneration never
+// loses perf_fabric's gate number.
 void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
   std::fprintf(
       out,
@@ -479,13 +468,6 @@ void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
       "inline constexpr double kTimerChurnOpsPerSec = %.1f;\n"
       "inline constexpr double kGroDatapathPacketsPerSec = %.1f;\n"
       "\n"
-      "// Heap-era reference (binary-heap timers, per-packet dispatch,\n"
-      "// per-MTU heap allocation), measured at commit %s.\n"
-      "inline constexpr char kHeapEraCommit[] = \"%s\";\n"
-      "inline constexpr double kHeapEraEventLoopEventsPerSec = %.1f;\n"
-      "inline constexpr double kHeapEraTimerChurnOpsPerSec = %.1f;\n"
-      "inline constexpr double kHeapEraGroDatapathPacketsPerSec = %.1f;\n"
-      "\n"
       "// bench/perf_fabric reference: 32-host Clos bulk transfer at ONE\n"
       "// worker on the sharded engine.\n"
       "inline constexpr double kFabricClosPacketsPerSec = %.1f;\n"
@@ -494,10 +476,6 @@ void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
       "\n"
       "#endif  // JUGGLER_BENCH_PERF_BASELINE_H_\n",
       commit, r.events_per_sec, r.churn_ops_per_sec, r.packets_per_sec,
-      perf_baseline::kHeapEraCommit, perf_baseline::kHeapEraCommit,
-      perf_baseline::kHeapEraEventLoopEventsPerSec,
-      perf_baseline::kHeapEraTimerChurnOpsPerSec,
-      perf_baseline::kHeapEraGroDatapathPacketsPerSec,
       perf_baseline::kFabricClosPacketsPerSec);
 }
 

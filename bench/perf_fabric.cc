@@ -60,7 +60,7 @@ FabricPoint RunFabric(size_t workers, uint64_t bytes_per_pair) {
   opt.host_template = DefaultHost();
   opt.host_template.rx.int_coalesce = Us(20);
   opt.host_template.gro_factory =
-      MakeJugglerFactory(TunedJuggler(opt.host_link_rate_bps, Us(100), Us(20)));
+      MakeJugglerFactory(TunedJuggler(opt.host_link_rate_bps, Us(100)));
   ShardedClosTestbed t = BuildShardedClos(&engine, &costs, opt);
 
   std::vector<EndpointPair> pairs;
