@@ -176,13 +176,13 @@ struct ChaosEngineResult {
   // FNV-1a over the run's observable counters: same seed + options must
   // reproduce this bit-identically.
   uint64_t digest = 0;
-  // TCP-level stream digest (raw transfers only; 0 for app runs): an FNV-1a
-  // fold over the position-derived content of every byte the receiver's TCP
-  // handed the application, in order, plus any delivery anomalies the
-  // integrity checker observed. Unlike `digest` it is independent of poll
-  // boundaries, flush timing and chunking, so it must be byte-identical
-  // across receive drivers (RSS vs COREC) for the same (seed, options) —
-  // that equality is the rx-conformance oracle.
+  // TCP-level stream digest (raw transfers only; 0 for app runs): the
+  // receiver's StreamIntegrityChecker::stream_digest(), which identifies the
+  // in-order stream TCP handed the application by its delivered total and
+  // the delivery anomalies the checker observed. Unlike `digest` it is
+  // independent of poll boundaries, flush timing and chunking, so it must be
+  // equal across receive drivers (RSS vs COREC) for the same
+  // (seed, options) — that equality is the rx-conformance oracle.
   uint64_t stream_digest = 0;
   // Sharded-engine execution detail. Deliberately outside the digest:
   // windows and crossings are shard-count invariant anyway, workers and
