@@ -665,6 +665,7 @@ Juggler::AuditView Juggler::Audit() const {
     }
     f.queue_runs = entry.ooo_queue.size();
     f.flush_timestamp = entry.flush_timestamp;
+    f.deadline = FlowDeadline(entry);
     view.flows.push_back(f);
   });
   return view;

@@ -185,6 +185,7 @@ class Juggler : public GroEngine {
       uint64_t buffered_bytes;  // payload held in the OOO queue
       size_t queue_runs;
       TimeNs flush_timestamp;
+      TimeNs deadline;  // when a timeout must flush the queue; kNoTimer = empty
     };
     std::vector<Flow> flows;
     size_t active_len = 0;

@@ -108,9 +108,14 @@ struct OverloadWiring {
   size_t pool_capacity = 0;    // nominal cap applied to every pool (0 = none)
   size_t ring_capacity = 0;    // nominal ring cap (0 = keep NicRx config)
   size_t gro_flow_cap = 0;     // nominal GRO flow budget (for brown-out math)
-  // Total executed events across all loops/domains — the forward-progress
-  // signal the auditor watches for deadlock.
-  std::function<uint64_t()> executed_events;
+  // The forward-progress signal the auditor watches for deadlock, read
+  // between engine steps: total executed events across all loops/domains,
+  // and whether any loop still has an event pending.
+  struct Progress {
+    uint64_t executed_events = 0;
+    bool event_pending = false;
+  };
+  std::function<Progress()> progress;
 };
 
 // Schedules the pressure windows and applies the capacity caps. Construct,

@@ -388,12 +388,14 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
     w.pool_capacity = opt.overload.pool_capacity;
     w.ring_capacity = opt.overload.ring_capacity;
     w.gro_flow_cap = opt.max_flows;
-    w.executed_events = [eng = &engine] {
-      uint64_t total = 0;
+    w.progress = [eng = &engine] {
+      OverloadWiring::Progress p;
       for (size_t i = 0; i < eng->domain_count(); ++i) {
-        total += eng->domain(i)->executed_events();
+        EventLoop& loop = eng->domain(i)->loop();
+        p.executed_events += loop.executed_events();
+        p.event_pending = p.event_pending || loop.next_event_time() != EventLoop::kNoEvent;
       }
-      return total;
+      return p;
     };
     ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
     ovl->Start();

@@ -2,12 +2,23 @@
 // scenarios with NO planted defects must produce zero findings — the stack
 // survives everything the sampler throws at it — and finish well inside the
 // 60s budget. A finding here is a real regression: the printed bundle JSON
-// is the repro.
+// is the repro. The shrunk specs of past oracle false positives
+// (tests/fuzz_specs/) must stay clean too.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <ostream>
+#include <sstream>
+#include <string>
+
 #include "src/forensics/fuzz_supervisor.h"
 #include "src/forensics/repro_bundle.h"
+#include "src/scenario/chaos_scenario.h"
+
+#ifndef JUGGLER_TEST_FUZZ_SPEC_DIR
+#define JUGGLER_TEST_FUZZ_SPEC_DIR "tests/fuzz_specs"
+#endif
 
 namespace juggler {
 namespace {
@@ -59,6 +70,58 @@ TEST(FuzzSmokeTest, SeededAppWorkloadSweepIsClean) {
   }
   EXPECT_EQ(report.failures, 0);
 }
+
+// Shrunk specs of findings the fuzzer once reported at its default seeds,
+// each an oracle false positive: the run was correct and the check
+// overreached. Each runs on the stack its finding named and must stay clean.
+struct FalsePositiveSpec {
+  const char* name;
+  const char* file;
+  StackKind stack;
+};
+
+void PrintTo(const FalsePositiveSpec& spec, std::ostream* os) { *os << spec.file; }
+
+class FuzzRegressionTest : public ::testing::TestWithParam<FalsePositiveSpec> {};
+
+TEST_P(FuzzRegressionTest, ShrunkSpecRunsClean) {
+  const std::string path = std::string(JUGGLER_TEST_FUZZ_SPEC_DIR) + "/" + GetParam().file;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing spec file " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  Json json;
+  std::string error;
+  ASSERT_TRUE(Json::Parse(text.str(), &json, &error)) << path << ": " << error;
+  ScenarioSpec spec;
+  ASSERT_TRUE(ScenarioSpec::FromJson(json, &spec, &error)) << path << ": " << error;
+
+  const ChaosEngineResult r = RunChaosEngineStack(spec.chaos, GetParam().stack);
+  EXPECT_EQ(r.violations, 0u) << path;
+  for (const std::string& m : r.violation_messages) {
+    ADD_FAILURE() << r.engine << ": " << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DefaultSeedFindings, FuzzRegressionTest,
+    ::testing::Values(
+        // fuzz_runner --specs 21 --seed 1: an app run ends while the app's own
+        // connection still has out-of-order bytes in Juggler, ahead of their
+        // ofo deadline; the overload audit's drained-table check fired.
+        FalsePositiveSpec{"GroBytesInFlightAtAppEnd", "gro_bytes_in_flight_at_app_end.json",
+                          StackKind::kJuggler},
+        // fuzz_runner --specs 41 --seed 2: an app run ends while TCP holds
+        // out-of-order data past its delivered total; the stream oracle's
+        // coverage check read that range as a gap.
+        FalsePositiveSpec{"CoverageInFlightAtAppEnd", "coverage_in_flight_at_app_end.json",
+                          StackKind::kVanilla},
+        // fuzz_runner --specs 36 --seed 4: a raw transfer sits out an RTO for
+        // more than five 10 ms probe windows with its timer pending; the
+        // overload stall check fired.
+        FalsePositiveSpec{"OverloadIdleThroughRto", "overload_idle_through_rto.json",
+                          StackKind::kVanilla}),
+    [](const ::testing::TestParamInfo<FalsePositiveSpec>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace juggler
