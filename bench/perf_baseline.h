@@ -13,8 +13,8 @@ inline constexpr double kEventLoopEventsPerSec = 47068459.3;
 inline constexpr double kTimerChurnOpsPerSec = 125491735.4;
 inline constexpr double kGroDatapathPacketsPerSec = 70407684.6;
 
-// bench/perf_fabric reference: 32-host Clos bulk transfer at ONE
-// worker on the sharded engine.
+// perf_core's fabric_scaling reference: 32-host Clos bulk transfer at
+// ONE worker on the sharded engine.
 inline constexpr double kFabricClosPacketsPerSec = 1046273.0;
 
 }  // namespace juggler::perf_baseline

@@ -1,13 +1,11 @@
-# Re-records the tracked perf artifacts in one deterministic pass:
+# Re-records the tracked perf artifacts from one perf_core run:
 #
-#   bench/perf_baseline.h   (perf_core --baseline-header, commit auto-filled)
-#   BENCH_core.json         (perf_core + perf_fabric + perf_scale sections)
+#   bench/perf_baseline.h   (--baseline-header, commit auto-filled)
+#   BENCH_core.json         (every section)
 #
 # Invoked by the `bench-record` target with -DSRC_DIR / -DBENCH_BIN_DIR.
-# Each bench merge-preserves the others' sections, so the order below only
-# matters for wall-clock: perf_core first, since it also writes the header.
-# All three run serially (execute_process) — the gated numbers are
-# wall-clock rates and must not share the box.
+# The gated numbers are wall-clock rates, so nothing else should share the
+# box while it runs.
 
 foreach(var SRC_DIR BENCH_BIN_DIR)
   if(NOT DEFINED ${var})
@@ -33,22 +31,6 @@ execute_process(
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "perf_core failed (${RC})")
-endif()
-
-message(STATUS "bench-record: perf_fabric")
-execute_process(
-  COMMAND ${BENCH_BIN_DIR}/perf_fabric --out ${OUT_JSON}
-  RESULT_VARIABLE RC)
-if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "perf_fabric failed (${RC})")
-endif()
-
-message(STATUS "bench-record: perf_scale (with memory-flatness gate)")
-execute_process(
-  COMMAND ${BENCH_BIN_DIR}/perf_scale --gate --out ${OUT_JSON}
-  RESULT_VARIABLE RC)
-if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "perf_scale failed (${RC})")
 endif()
 
 message(STATUS "bench-record: done — ${OUT_JSON} and bench/perf_baseline.h updated.")

@@ -216,21 +216,9 @@ TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate)
   const uint32_t max_payload = config_.max_segment_payload;
   TimeNs cost = 0;
 
-  // In-order fast path: extend the tail of the in-sequence head run. This is
-  // the path all in-order traffic takes, and it costs exactly what standard
-  // GRO costs — no OOO machinery.
-  if (!queue.empty() && queue.front().start_seq() == entry->seq_next &&
-      p.seq == queue.front().end_seq()) {
-    switch (queue.front().TryMerge(p, max_payload)) {
-      case SegmentBuilder::MergeResult::kMerged:
-      case SegmentBuilder::MergeResult::kMergedFinal:
-        NoteEnqueued(entry, p.payload_len);
-        CoalesceForward(&queue, 0, max_payload);
-        return cost;
-      default:
-        break;  // metadata/size refusal: fall through to a fresh run
-    }
-  }
+  // No head-run merge here: Receive() has already tried the identical one
+  // (TryMerge changes nothing when it refuses), or build-up just moved
+  // seq_next back to p.seq, where no queued run starts.
   if (queue.empty()) {
     if (p.seq != entry->seq_next) {
       cost += costs_->juggler_ooo_insert;
@@ -291,10 +279,10 @@ TimeNs Juggler::ReceiveBatch(PacketPtr* packets, size_t count) {
   // before processing starts, so lookups probe lines already in flight.
   // Consecutive same-flow packets share one prefetch: within a run only the
   // first lookup probes at all (the rest hit the last_entry_ memo), while
-  // cross-flow interleaves (Fig. 10, the perf_scale round-robin) get every
-  // distinct flow's slot line warming in parallel before the first fold
-  // touches it. Per-packet observable behavior is untouched — order, costs,
-  // stats and trace events match the one-at-a-time path exactly.
+  // cross-flow interleaves (Fig. 10, perf_core's flow_scale round-robin) get
+  // every distinct flow's slot line warming in parallel before the first
+  // fold touches it. Per-packet observable behavior is untouched — order,
+  // costs, stats and trace events match the one-at-a-time path exactly.
   for (size_t i = 0; i < count; ++i) {
     if (i == 0 || !(packets[i]->flow == packets[i - 1]->flow)) {
       table_.Prefetch(packets[i]->flow);

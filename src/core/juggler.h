@@ -154,8 +154,8 @@ class Juggler : public GroEngine {
   size_t inactive_list_len() const { return inactive_list_.size(); }
   size_t loss_list_len() const { return loss_list_.size(); }
   size_t flow_table_size() const { return table_.size(); }
-  // Table-owned memory (slots + record slabs); bench/perf_scale divides this
-  // by the flow count for the tracked bytes-per-flow figure.
+  // Table-owned memory (slots + record slabs); bench/perf_core's flow_scale
+  // divides this by the flow count for the tracked bytes-per-flow figure.
   size_t flow_table_resident_bytes() const { return table_.resident_bytes(); }
 
   // Introspection for debugging and tooling: a snapshot of one flow entry.

@@ -232,7 +232,7 @@ class FlowTable {
   }
 
   // Bytes of memory held by the table itself (slots, slabs, freelist) —
-  // the bench/perf_scale "resident bytes per flow" numerator. Heap memory
+  // the bench/perf_core "resident bytes per flow" numerator. Heap memory
   // owned by the T values (e.g. OOO-queue vectors) is not included.
   size_t resident_bytes() const {
     return slots_.capacity() * sizeof(Slot) + chunks_.size() * sizeof(Chunk) +

@@ -71,7 +71,7 @@ class Host : public SegmentSink {
   uint64_t pending_rx_bytes() const { return pending_rx_bytes_; }
   uint64_t stray_segments() const { return stray_segments_; }
   size_t endpoint_count() const { return endpoints_.size(); }
-  // Table-owned bytes for the endpoint slab (bench/perf_scale's TCP
+  // Table-owned bytes for the endpoint slab (bench/perf_core's TCP
   // bytes-per-connection numerator). TcpEndpoint values live inline in the
   // slab records, so this covers the TCP blocks themselves; heap owned by
   // their members (SACK scoreboards, RTT FIFO) is lazy and zero for idle

@@ -2,7 +2,7 @@
 // every GRO engine's per-flow state. Pins the properties the engines lean
 // on — pointer stability across rehash, insertion-order iteration,
 // tombstone reuse, clock eviction, and the resident-bytes accounting the
-// perf_scale bench reports.
+// perf_core bench reports.
 
 #include <gtest/gtest.h>
 
