@@ -659,17 +659,6 @@ Juggler::AuditView Juggler::Audit() const {
   return view;
 }
 
-std::vector<Juggler::FlowSnapshot> Juggler::DebugSnapshot() const {
-  std::vector<FlowSnapshot> out;
-  out.reserve(table_.size());
-  const TimeNs now = ctx_.now != nullptr ? *ctx_.now : 0;
-  table_.ForEach([&](const FiveTuple& key, const FlowEntry& entry) {
-    out.push_back(FlowSnapshot{key, entry.phase, entry.seq_next, entry.lost_seq,
-                               entry.ooo_queue.size(), now - entry.flush_timestamp});
-  });
-  return out;
-}
-
 TimeNs Juggler::PollComplete() {
   const TimeNs cost = CheckTimeouts();
   RearmTimer();

@@ -158,17 +158,6 @@ class Juggler : public GroEngine {
   // divides this by the flow count for the tracked bytes-per-flow figure.
   size_t flow_table_resident_bytes() const { return table_.resident_bytes(); }
 
-  // Introspection for debugging and tooling: a snapshot of one flow entry.
-  struct FlowSnapshot {
-    FiveTuple key;
-    FlowPhase phase;
-    Seq seq_next;
-    Seq lost_seq;
-    size_t queue_runs;
-    TimeNs since_flush;
-  };
-  std::vector<FlowSnapshot> DebugSnapshot() const;
-
   // Structural snapshot for the fault layer's invariant auditor: every table
   // entry annotated with the list it is physically linked on (found by
   // walking the three lists, independently of entry->phase, so list/phase

@@ -10,8 +10,6 @@ const char* LbPolicyName(LbPolicy policy) {
       return "per-TSO";
     case LbPolicy::kPerPacket:
       return "per-packet";
-    case LbPolicy::kPerPacketRR:
-      return "per-packet-rr";
     case LbPolicy::kFlowlet:
       return "flowlet";
   }
@@ -33,11 +31,6 @@ size_t LoadBalancer::PickPath(const Packet& p) {
     }
     case LbPolicy::kPerPacket:
       return static_cast<size_t>(rng_.NextBounded(num_paths_));
-    case LbPolicy::kPerPacketRR: {
-      const size_t path = rr_next_;
-      rr_next_ = (rr_next_ + 1) % num_paths_;
-      return path;
-    }
     case LbPolicy::kFlowlet:
       // Without congestion feedback, new flowlets pick randomly.
       return PickFlowletPath(p, {});

@@ -8,7 +8,6 @@
 //                round-robin: deterministic alternation would keep parallel
 //                queues artificially symmetric and hide the transient
 //                imbalance that causes real reordering.
-//   kPerPacketRR — strict round-robin spraying, kept for comparison.
 
 #ifndef JUGGLER_SRC_NET_LOAD_BALANCER_H_
 #define JUGGLER_SRC_NET_LOAD_BALANCER_H_
@@ -27,7 +26,6 @@ enum class LbPolicy {
   kEcmp,
   kPerTso,
   kPerPacket,
-  kPerPacketRR,
   // CONGA-style flowlet switching (§2.2): a flow re-hashes to a new path
   // whenever the gap since its previous packet exceeds the flowlet gap —
   // bursts stay together, so almost no reordering reaches the end host.
@@ -64,7 +62,6 @@ class LoadBalancer {
   LbPolicy policy_;
   size_t num_paths_;
   Rng rng_;
-  size_t rr_next_ = 0;
   TimeNs flowlet_gap_ = Us(500);
   std::unordered_map<FiveTuple, FlowletState, FiveTupleHash> flowlets_;
 };

@@ -8,43 +8,13 @@ namespace juggler {
 
 CorecRx::CorecRx(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
                  const GroFactory& gro_factory, SegmentSink* sink)
-    : loop_(loop),
-      costs_(costs),
-      config_(config),
-      sink_(sink),
-      handoff_core_(loop, "corec_handoff") {
+    : RxDriver(loop, costs, config, gro_factory, sink, /*num_queues=*/1),
+      shared_(queues_[0].get()) {
   JUG_CHECK(config_.corec_consumers >= 1);
   JUG_CHECK(config_.corec_claim_window >= 1);
-  host_.nic = this;
-  gro_ = gro_factory(costs);
-  GroEngine::Context ctx;
-  ctx.now = loop->now_ptr();
-  ctx.host = &host_;
-  ctx.recorder = config_.recorder;
-  gro_->set_context(ctx);
   for (size_t i = 0; i < config_.corec_consumers; ++i) {
     consumers_.push_back(std::make_unique<Consumer>(loop, i));
   }
-}
-
-CorecRx::~CorecRx() = default;
-
-void CorecRx::HandoffHost::GroDeliver(Segment segment) {
-  nic->pending_segments_.push_back(std::move(segment));
-}
-
-void CorecRx::HandoffHost::GroArmTimer(TimeNs when) {
-  EventLoop* loop = nic->loop_;
-  loop->Cancel(nic->gro_timer_);
-  nic->gro_timer_ = kInvalidTimerId;
-  if (when == GroEngine::kNoTimer) {
-    return;
-  }
-  const TimeNs at = when > loop->now() ? when : loop->now();
-  nic->gro_timer_ = loop->ScheduleAt(at, [n = nic] {
-    n->gro_timer_ = kInvalidTimerId;
-    n->OnGroTimer();
-  });
 }
 
 bool CorecRx::AnyConsumerBusy() const {
@@ -54,54 +24,9 @@ bool CorecRx::AnyConsumerBusy() const {
   return false;
 }
 
-void CorecRx::Accept(PacketPtr packet) {
-  ++stats_.packets_in;
-  if (packet->corrupted) {
-    // Hardware checksum/FCS validation: bad frames never reach the ring.
-    ++stats_.checksum_drops;
-    return;
-  }
-  if (ring_.size() >= config_.ring_capacity) {
-    ++stats_.ring_drops;
-    return;
-  }
-  packet->nic_rx_time = loop_->now();
-  ring_.push_back(std::move(packet));
-  if (ring_.size() > stats_.ring_high_watermark) {
-    stats_.ring_high_watermark = ring_.size();
-  }
-  // Consumers in polling mode re-claim at commit without a new interrupt;
-  // only an idle driver needs the (moderated) interrupt to wake up.
-  if (!AnyConsumerBusy() && !interrupt_pending_) {
-    ScheduleInterrupt();
-  }
-}
-
-void CorecRx::ScheduleInterrupt() {
-  interrupt_pending_ = true;
-  const TimeNs earliest = last_interrupt_ + config_.int_coalesce;
-  const TimeNs at = earliest > loop_->now() ? earliest : loop_->now();
-  ++stats_.coalesce_arms;
-  if (config_.recorder != nullptr) {
-    config_.recorder->Record(loop_->now(), TraceKind::kNicCoalesceArm, 0,
-                             static_cast<uint64_t>(at - loop_->now()));
-  }
-  loop_->ScheduleAt(at, [this] { FireInterrupt(); });
-}
-
-void CorecRx::FireInterrupt() {
-  ++stats_.interrupts;
-  if (config_.recorder != nullptr) {
-    config_.recorder->Record(loop_->now(), TraceKind::kNicInterrupt, 0, ring_.size());
-  }
-  last_interrupt_ = loop_->now();
-  interrupt_pending_ = false;
-  KickIdleConsumers(/*session_entry=*/true);
-}
-
 void CorecRx::KickIdleConsumers(bool session_entry) {
   for (size_t i = 0; i < consumers_.size(); ++i) {
-    if (ring_.empty()) {
+    if (shared_->ring.empty()) {
       return;
     }
     if (!consumers_[i]->busy) {
@@ -112,19 +37,20 @@ void CorecRx::KickIdleConsumers(bool session_entry) {
 
 void CorecRx::Claim(size_t consumer_index, bool session_entry) {
   Consumer* c = consumers_[consumer_index].get();
-  size_t n = ring_.size();
+  std::deque<PacketPtr>& ring = shared_->ring;
+  size_t n = ring.size();
   if (n > config_.corec_claim_window) {
     n = config_.corec_claim_window;
   }
   c->busy = true;
+  // Consumers in polling mode re-claim at commit without a new interrupt;
+  // only an idle driver needs the (moderated) interrupt to wake up.
+  shared_->polling = true;
   c->first_seq = next_claim_seq_;
   c->count = n;
   for (size_t k = 0; k < n; ++k) {
-    Slot slot;
-    slot.packet = std::move(ring_.front());
-    ring_.pop_front();
-    slot.consumer = static_cast<uint32_t>(consumer_index);
-    slots_.push_back(std::move(slot));
+    slots_.push_back(Slot{std::move(ring.front())});
+    ring.pop_front();
   }
   next_claim_seq_ += n;
   ++corec_stats_.claims;
@@ -167,12 +93,13 @@ void CorecRx::Commit(size_t consumer_index) {
   }
   c->busy = false;
   c->count = 0;
+  shared_->polling = AnyConsumerBusy();
   Handoff();
   KickIdleConsumers(/*session_entry=*/false);
 }
 
 void CorecRx::Handoff() {
-  if (wedged_) {
+  if (corec_stats_.wedged != 0) {
     return;  // planted fault: claimed packets never reach GRO again
   }
   if (!slots_.empty() && !slots_.front().done) {
@@ -192,7 +119,6 @@ void CorecRx::Handoff() {
                                  slots_.size());
       }
       if (config_.debug_corec_wedge) {
-        wedged_ = true;
         corec_stats_.wedged = 1;
       }
     }
@@ -214,48 +140,10 @@ void CorecRx::Handoff() {
     config_.recorder->Record(loop_->now(), TraceKind::kCorecHandoff, run.size(),
                              slots_.size());
   }
-  handoff_queue_.push_back(std::move(run));
-  handoff_core_.Submit(0, [this] { GroDispatch(); });
-}
-
-void CorecRx::GroDispatch() {
-  JUG_CHECK(!handoff_queue_.empty());
-  std::vector<PacketPtr> run = std::move(handoff_queue_.front());
-  handoff_queue_.pop_front();
-  TimeNs cost = 0;
-  if (config_.per_packet_dispatch) [[unlikely]] {
-    // Reference arm for determinism tests: must be observably identical to
-    // the batched hand-off below.
-    for (PacketPtr& p : run) {
-      cost += gro_->Receive(std::move(p));
-    }
-  } else {
-    cost += gro_->ReceiveBatch(run.data(), run.size());
-  }
-  cost += gro_->PollComplete();
-  handoff_core_.Submit(cost, [this] { DeliverPending(); });
-}
-
-void CorecRx::OnGroTimer() {
-  handoff_core_.Submit(0, [this] {
-    const TimeNs cost = gro_->OnTimer();
-    handoff_core_.Submit(cost, [this] { DeliverPending(); });
+  // The run waits for GRO on the hand-off core, behind any earlier runs.
+  shared_->core.Submit(0, [this, run = std::move(run)]() mutable {
+    CompleteGroRound(shared_, GroReceive(shared_, run.data(), run.size()));
   });
-}
-
-void CorecRx::ApplyGroFlowCap(size_t max_flows) {
-  handoff_core_.Submit(0, [this, max_flows] {
-    const TimeNs cost = gro_->ApplyFlowCapPressure(max_flows);
-    handoff_core_.Submit(cost, [this] { DeliverPending(); });
-  });
-}
-
-void CorecRx::DeliverPending() {
-  if (pending_segments_.empty()) {
-    return;
-  }
-  sink_->OnSegmentBatch(pending_segments_.data(), pending_segments_.size());
-  pending_segments_.clear();
 }
 
 }  // namespace juggler

@@ -16,13 +16,13 @@
 //    limit), later-claimed smaller windows routinely finish before earlier
 //    larger ones: commits are genuinely out of order.
 //  * Hand-off: a dedicated hand-off stage walks the completion slots in ring
-//    order and feeds each maximal contiguous completed run to the GRO engine
-//    as one batch (ReceiveBatch + PollComplete — one poll round), then
-//    delivers the merged segments. Completed slots parked behind an
-//    incomplete head window stall (counted; depth recorded) until the head
-//    commits. This is the rule that makes the driver conform: GRO sees
-//    packets in exactly the ring order, so the TCP-level stream is
-//    byte-identical to the single-queue RSS driver for every GRO stack.
+//    order and feeds each maximal contiguous completed run to the shared GRO
+//    stage (rx_driver.h) as one poll round, on the hand-off core. Completed
+//    slots parked behind an incomplete head window stall (counted; depth
+//    recorded) until the head commits. This is the rule that makes the
+//    driver conform: GRO sees packets in exactly the ring order, so the
+//    TCP-level stream is byte-identical to the single-queue RSS driver for
+//    every GRO stack.
 //
 // Determinism contract: consumers are ordinary `CpuCore` FIFOs on the shared
 // event loop; claims are made in consumer-index order at interrupt/commit
@@ -46,31 +46,8 @@ class CorecRx : public RxDriver {
  public:
   CorecRx(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
           const GroFactory& gro_factory, SegmentSink* sink);
-  ~CorecRx() override;
-
-  // Packet arriving from the wire.
-  void Accept(PacketPtr packet) override;
-
-  // One logical queue: the shared ring. rx_core(0) is the hand-off core —
-  // the core whose clock merged segments leave on, which is what callers
-  // (overload auditor, tests) use it for.
-  size_t num_queues() const override { return 1; }
-  CpuCore* rx_core(size_t) override { return &handoff_core_; }
-  GroEngine* gro(size_t) override { return gro_.get(); }
-  const NicRxStats& stats() const override { return stats_; }
-  GroStats TotalGroStats() const override { return gro_->stats(); }
-  const NicRxConfig& config() const override { return config_; }
-
-  void set_ring_capacity(size_t capacity) override {
-    config_.ring_capacity = capacity < 1 ? 1 : capacity;
-  }
-
-  void ApplyGroFlowCap(size_t max_flows) override;
 
   const CorecRxStats* corec_stats() const override { return &corec_stats_; }
-
-  // True once the debug wedge plant fired (tests only).
-  bool wedged() const { return wedged_; }
 
  private:
   // One consumer: a CPU core that claims a window, processes it, commits.
@@ -86,57 +63,30 @@ class CorecRx : public RxDriver {
   // A claimed descriptor awaiting in-order hand-off.
   struct Slot {
     PacketPtr packet;
-    uint32_t consumer = 0;
     bool done = false;
   };
 
-  void ScheduleInterrupt();
-  void FireInterrupt();
+  void OnInterrupt(RxQueue*) override { KickIdleConsumers(/*session_entry=*/true); }
   // Hand idle consumers claim windows, in consumer-index order, until the
   // ring is empty or every consumer is busy. `session_entry` charges the
   // interrupt-driven NAPI entry overhead instead of the re-poll overhead.
   void KickIdleConsumers(bool session_entry);
   void Claim(size_t consumer_index, bool session_entry);
   void Commit(size_t consumer_index);
-  // Walk the completion slots from the head; feed each maximal contiguous
-  // completed run to GRO (one poll round per run) on the hand-off core.
+  // Walk the completion slots from the head; queue each maximal contiguous
+  // completed run for the GRO stage (one poll round per run).
   void Handoff();
-  void GroDispatch();
-  void OnGroTimer();
-  void DeliverPending();
   bool AnyConsumerBusy() const;
 
-  // GroHost surface for the single shared GRO engine.
-  struct HandoffHost : public GroHost {
-    CorecRx* nic = nullptr;
-    void GroDeliver(Segment segment) override;
-    void GroArmTimer(TimeNs when) override;
-  };
-
-  EventLoop* loop_;
-  const CpuCostModel* costs_;
-  NicRxConfig config_;
-  SegmentSink* sink_;
-  HandoffHost host_;
-  std::unique_ptr<GroEngine> gro_;
-  CpuCore handoff_core_;
+  // The one shared ring; its RX core is the hand-off core, where GRO runs
+  // and merged segments leave.
+  RxQueue* const shared_;
   std::vector<std::unique_ptr<Consumer>> consumers_;
 
-  std::deque<PacketPtr> ring_;  // shared descriptor ring (unclaimed)
-  std::deque<Slot> slots_;      // claimed descriptors, ring order
-  uint64_t slots_base_ = 0;     // ring sequence of slots_.front()
+  std::deque<Slot> slots_;   // claimed descriptors, ring order
+  uint64_t slots_base_ = 0;  // ring sequence of slots_.front()
   uint64_t next_claim_seq_ = 0;
 
-  // Completed runs awaiting GRO on the hand-off core, oldest first.
-  std::deque<std::vector<PacketPtr>> handoff_queue_;
-  std::vector<Segment> pending_segments_;
-
-  TimeNs last_interrupt_ = -(1LL << 60);  // long ago: first packet fires now
-  bool interrupt_pending_ = false;
-  bool wedged_ = false;
-  TimerId gro_timer_ = kInvalidTimerId;
-
-  NicRxStats stats_;
   CorecRxStats corec_stats_;
 };
 

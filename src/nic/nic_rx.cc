@@ -2,103 +2,23 @@
 
 #include <utility>
 
-#include "src/util/logging.h"
-
 namespace juggler {
 
 NicRx::NicRx(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
              const GroFactory& gro_factory, SegmentSink* sink)
-    : loop_(loop), costs_(costs), config_(config), sink_(sink) {
-  JUG_CHECK(config_.num_queues >= 1);
-  for (size_t i = 0; i < config_.num_queues; ++i) {
-    auto q = std::make_unique<RxQueue>(this, loop, i);
-    q->gro = gro_factory(costs);
-    GroEngine::Context ctx;
-    ctx.now = loop->now_ptr();
-    ctx.host = q.get();
-    ctx.recorder = config_.recorder;
-    q->gro->set_context(ctx);
-    queues_.push_back(std::move(q));
-  }
-}
+    : RxDriver(loop, costs, config, gro_factory, sink, config.num_queues),
+      session_start_(config.num_queues, 0) {}
 
-void NicRx::RxQueue::GroArmTimer(TimeNs when) {
-  EventLoop* loop = nic->loop_;
-  loop->Cancel(gro_timer);
-  gro_timer = kInvalidTimerId;
-  if (when == GroEngine::kNoTimer) {
-    return;
-  }
-  const TimeNs at = when > loop->now() ? when : loop->now();
-  gro_timer = loop->ScheduleAt(at, [this] {
-    gro_timer = kInvalidTimerId;
-    nic->OnGroTimer(this);
-  });
-}
-
-NicRx::~NicRx() = default;
-
-void NicRx::Accept(PacketPtr packet) {
-  ++stats_.packets_in;
-  if (packet->corrupted) {
-    // Hardware checksum/FCS validation: bad frames never reach the ring.
-    ++stats_.checksum_drops;
-    return;
-  }
-  size_t index;
+size_t NicRx::Steer(const Packet& packet) const {
   if (config_.force_queue >= 0) {
-    index = static_cast<size_t>(config_.force_queue) % queues_.size();
-  } else {
-    index = static_cast<size_t>(packet->flow.Hash() >> 17) % queues_.size();
+    return static_cast<size_t>(config_.force_queue) % queues_.size();
   }
-  RxQueue* q = queues_[index].get();
-  if (q->ring.size() >= config_.ring_capacity) {
-    ++stats_.ring_drops;
-    return;
-  }
-  packet->nic_rx_time = loop_->now();
-  q->ring.push_back(std::move(packet));
-  if (q->ring.size() > stats_.ring_high_watermark) {
-    stats_.ring_high_watermark = q->ring.size();
-  }
-  ScheduleInterrupt(q);
+  return static_cast<size_t>(packet.flow.Hash() >> 17) % queues_.size();
 }
 
-void NicRx::ApplyGroFlowCap(size_t max_flows) {
-  for (auto& qp : queues_) {
-    RxQueue* q = qp.get();
-    q->core.Submit(0, [this, q, max_flows] {
-      const TimeNs cost = q->gro->ApplyFlowCapPressure(max_flows);
-      q->core.Submit(cost, [this, q] { DeliverPending(q); });
-    });
-  }
-}
-
-void NicRx::ScheduleInterrupt(RxQueue* q) {
-  if (q->polling || q->interrupt_pending) {
-    return;  // NAPI is (or will be) looking at the ring
-  }
-  q->interrupt_pending = true;
-  const TimeNs earliest = q->last_interrupt + config_.int_coalesce;
-  const TimeNs at = earliest > loop_->now() ? earliest : loop_->now();
-  ++stats_.coalesce_arms;
-  if (config_.recorder != nullptr) {
-    config_.recorder->Record(loop_->now(), TraceKind::kNicCoalesceArm, q->index,
-                             static_cast<uint64_t>(at - loop_->now()));
-  }
-  loop_->ScheduleAt(at, [this, q] { FireInterrupt(q); });
-}
-
-void NicRx::FireInterrupt(RxQueue* q) {
-  ++stats_.interrupts;
-  if (config_.recorder != nullptr) {
-    config_.recorder->Record(loop_->now(), TraceKind::kNicInterrupt, q->index,
-                             q->ring.size());
-  }
-  q->last_interrupt = loop_->now();
-  q->interrupt_pending = false;
+void NicRx::OnInterrupt(RxQueue* q) {
   q->polling = true;
-  q->session_start = loop_->now();
+  session_start_[q->index] = loop_->now();
   StartPoll(q, /*session_entry=*/true);
 }
 
@@ -111,47 +31,37 @@ void NicRx::StartPoll(RxQueue* q, bool session_entry) {
 void NicRx::DoPoll(RxQueue* q, bool session_entry) {
   ++stats_.polls;
   TimeNs cost = session_entry ? costs_->napi_poll_overhead : costs_->napi_repoll_overhead;
-  // One NAPI round: harvest up to `napi_budget` packets off the ring, hand
-  // them to the engine as ONE batch (in ring order, so batch processing is
-  // observably identical to the old per-packet loop), then the engine's
-  // poll-completion hook (GRO flush decisions / timeout checks) — "the
-  // kernel hands off packets to GRO, whose batching interval is the same as
-  // the driver's polling interval".
-  q->batch.clear();
-  while (!q->ring.empty() && q->batch.size() < config_.napi_budget) {
-    q->batch.push_back(std::move(q->ring.front()));
+  // One NAPI round: harvest up to `napi_budget` packets off the ring and
+  // hand them to GRO as one poll round, in ring order — "the kernel hands
+  // off packets to GRO, whose batching interval is the same as the driver's
+  // polling interval".
+  batch_.clear();
+  while (!q->ring.empty() && batch_.size() < config_.napi_budget) {
+    batch_.push_back(std::move(q->ring.front()));
     q->ring.pop_front();
     cost += costs_->driver_per_packet;
   }
-  if (config_.per_packet_dispatch) [[unlikely]] {
-    // Reference arm for determinism tests: the batched hand-off below must
-    // be observably identical to this packet-by-packet loop.
-    for (PacketPtr& p : q->batch) {
-      cost += q->gro->Receive(std::move(p));
-    }
-  } else {
-    cost += q->gro->ReceiveBatch(q->batch.data(), q->batch.size());
-  }
-  if (q->batch.size() == config_.napi_budget && !q->ring.empty()) {
+  cost += GroReceive(q, batch_.data(), batch_.size());
+  if (batch_.size() == config_.napi_budget && !q->ring.empty()) {
     ++stats_.napi_budget_exhausted;
     if (config_.recorder != nullptr) {
       config_.recorder->Record(loop_->now(), TraceKind::kNapiBudget, q->index,
                                q->ring.size());
     }
   }
-  q->batch.clear();
-  cost += q->gro->PollComplete();
-  q->core.Submit(cost, [this, q] {
-    DeliverPending(q);
-    const bool time_capped = loop_->now() - q->session_start >= kMaxPollSession;
-    if (!q->ring.empty() && !time_capped) {
-      // Budget exhausted or more arrived while processing: stay in polling
-      // mode (softirq re-poll).
-      StartPoll(q, /*session_entry=*/false);
-      return;
-    }
-    EndSession(q);
-  });
+  batch_.clear();
+  CompleteGroRound(q, cost);
+}
+
+void NicRx::OnRoundDelivered(RxQueue* q) {
+  const bool time_capped = loop_->now() - session_start_[q->index] >= kMaxPollSession;
+  if (!q->ring.empty() && !time_capped) {
+    // Budget exhausted or more arrived while processing: stay in polling
+    // mode (softirq re-poll).
+    StartPoll(q, /*session_entry=*/false);
+    return;
+  }
+  EndSession(q);
 }
 
 void NicRx::EndSession(RxQueue* q) {
@@ -162,52 +72,6 @@ void NicRx::EndSession(RxQueue* q) {
   if (!q->ring.empty()) {
     ScheduleInterrupt(q);
   }
-}
-
-void NicRx::OnGroTimer(RxQueue* q) {
-  q->core.Submit(0, [this, q] {
-    const TimeNs cost = q->gro->OnTimer();
-    q->core.Submit(cost, [this, q] { DeliverPending(q); });
-  });
-}
-
-void NicRx::DeliverPending(RxQueue* q) {
-  if (q->pending_segments.empty()) {
-    return;
-  }
-  sink_->OnSegmentBatch(q->pending_segments.data(), q->pending_segments.size());
-  q->pending_segments.clear();
-}
-
-GroStats NicRx::TotalGroStats() const {
-  GroStats total;
-  for (const auto& q : queues_) {
-    const GroStats& s = q->gro->stats();
-    total.packets_in += s.packets_in;
-    total.acks_in += s.acks_in;
-    total.data_packets_in += s.data_packets_in;
-    total.ooo_packets += s.ooo_packets;
-    total.segments_out += s.segments_out;
-    total.data_segments_out += s.data_segments_out;
-    total.mtus_out += s.mtus_out;
-    total.evictions += s.evictions;
-    for (int r = 0; r < static_cast<int>(FlushReason::kReasonCount); ++r) {
-      total.flush_by_reason[r] += s.flush_by_reason[r];
-    }
-  }
-  return total;
-}
-
-void PublishNicRxStats(const NicRxStats& stats, const std::string& label,
-                       MetricsRegistry* registry) {
-  registry->AddCounter("nic.packets_in", label, stats.packets_in);
-  registry->AddCounter("nic.ring_drops", label, stats.ring_drops);
-  registry->AddCounter("nic.checksum_drops", label, stats.checksum_drops);
-  registry->AddCounter("nic.interrupts", label, stats.interrupts);
-  registry->AddCounter("nic.polls", label, stats.polls);
-  registry->AddCounter("nic.coalesce_arms", label, stats.coalesce_arms);
-  registry->AddCounter("nic.napi_budget_exhausted", label, stats.napi_budget_exhausted);
-  registry->MaxGauge("nic.ring_high_watermark", label, stats.ring_high_watermark);
 }
 
 }  // namespace juggler

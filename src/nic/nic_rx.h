@@ -1,29 +1,18 @@
-// Receive-side NIC model: RSS steering, per-queue rings, interrupt
-// moderation, and the NAPI poll loop that feeds a GroEngine (Figure 2).
+// The paper's RSS+NAPI receive driver (Figure 2): RSS steers each flow to
+// one of several rings, and the NAPI poll loop drains a ring into the shared
+// GRO stage (rx_driver.h), which owns ring admission, interrupt moderation
+// and GRO.
 //
-// Mechanisms that matter for the paper's results, all modelled explicitly:
-//
-//  * Interrupt moderation: interrupts are rate-limited to one per
-//    `int_coalesce_ns` per queue. At line rate this batches ~100 packets per
-//    interrupt (the "interrupt coalescing acts as an additional reordering
-//    buffer" effect behind the τ−τ₀ thresholds of Figs. 13/14); at low load
-//    the first packet fires immediately, so RPC latency is not inflated.
-//  * NAPI polling: an interrupt starts a poll; each poll drains the ring
-//    through the GRO engine and calls PollComplete(). If packets arrived
-//    while the RX core was busy processing, polling continues without a new
-//    interrupt — NAPI's polling mode under load.
-//  * CPU charging: driver + GRO costs are charged to the queue's RX core;
-//    merged segments reach the host only after that work completes, so RX
-//    core saturation delays delivery (and ring overflow drops packets).
-//  * GRO timers: the engine's high-resolution timer runs through the same
-//    RX-core path as polls.
+// NAPI polling: an interrupt starts a polling session; each poll round
+// harvests up to `napi_budget` packets and hands them to GRO as one round.
+// If packets arrived while the RX core was busy processing, polling
+// continues without a new interrupt — NAPI's polling mode under load — for
+// at most kMaxPollSession; then the session ends and the next arrival
+// raises a (moderated) interrupt.
 
 #ifndef JUGGLER_SRC_NIC_NIC_RX_H_
 #define JUGGLER_SRC_NIC_NIC_RX_H_
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/nic/rx_driver.h"
@@ -38,73 +27,19 @@ class NicRx : public RxDriver {
 
   NicRx(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
         const GroFactory& gro_factory, SegmentSink* sink);
-  ~NicRx() override;
-
-  // Packet arriving from the wire.
-  void Accept(PacketPtr packet) override;
-
-  size_t num_queues() const override { return queues_.size(); }
-  CpuCore* rx_core(size_t q) override { return &queues_[q]->core; }
-  GroEngine* gro(size_t q) override { return queues_[q]->gro.get(); }
-  const NicRxStats& stats() const override { return stats_; }
-
-  // Sum of GRO stats across queues.
-  GroStats TotalGroStats() const override;
-
-  const NicRxConfig& config() const override { return config_; }
-
-  // Overload-resilience knobs (memory brown-outs shrink these mid-run).
-  // Shrinking the ring does not evict already-queued packets; it only tail-
-  // drops new arrivals until polls drain the ring under the new cap.
-  void set_ring_capacity(size_t capacity) override {
-    config_.ring_capacity = capacity < 1 ? 1 : capacity;
-  }
-
-  // Propagate a flow-table pressure cap to every queue's GRO engine, through
-  // the RX cores (same path as GRO timers) so evicted segments are delivered
-  // and charged exactly like any other GRO work.
-  void ApplyGroFlowCap(size_t max_flows) override;
 
  private:
-  // Each queue is its engine's GroHost: deliveries buffer into the queue's
-  // pending list and timer arming goes through the owning NicRx's loop.
-  struct RxQueue : public GroHost {
-    NicRx* nic;
-    size_t index;
-    std::deque<PacketPtr> ring;
-    std::unique_ptr<GroEngine> gro;
-    CpuCore core;
-    std::vector<PacketPtr> batch;           // one poll round's ring harvest
-    std::vector<Segment> pending_segments;  // collected during a GRO call
-    TimeNs last_interrupt = -(1LL << 60);   // long ago: first packet fires now
-    TimeNs session_start = 0;               // start of the current polling session
-    bool interrupt_pending = false;
-    bool polling = false;
-    TimerId gro_timer = kInvalidTimerId;
-
-    RxQueue(NicRx* n, EventLoop* loop, size_t i)
-        : nic(n), index(i), core(loop, "rx_core_" + std::to_string(i)) {}
-
-    void GroDeliver(Segment segment) override {
-      pending_segments.push_back(std::move(segment));
-    }
-    void GroArmTimer(TimeNs when) override;
-  };
-
-  void ScheduleInterrupt(RxQueue* q);
-  void FireInterrupt(RxQueue* q);
+  // RSS: hash the flow onto a queue, unless `force_queue` pins them all.
+  size_t Steer(const Packet& packet) const override;
+  void OnInterrupt(RxQueue* q) override;
+  // Re-poll while the ring holds packets and the session is young.
+  void OnRoundDelivered(RxQueue* q) override;
   void StartPoll(RxQueue* q, bool session_entry);
   void DoPoll(RxQueue* q, bool session_entry);
   void EndSession(RxQueue* q);
-  void OnGroTimer(RxQueue* q);
-  void DeliverPending(RxQueue* q);
 
-  EventLoop* loop_;
-  const CpuCostModel* costs_;
-  NicRxConfig config_;
-  SegmentSink* sink_;
-  std::vector<std::unique_ptr<RxQueue>> queues_;
-  NicRxStats stats_;
+  std::vector<PacketPtr> batch_;       // one poll round's ring harvest
+  std::vector<TimeNs> session_start_;  // per queue: start of its polling session
 };
 
 }  // namespace juggler

@@ -1,14 +1,32 @@
-// Receive-path driver seam: the abstract surface every NIC RX architecture
-// implements, plus the shared configuration and stats types.
+// The receive-path core every NIC RX driver is built on (Figure 2), plus the
+// shared configuration and stats types.
 //
-// Two drivers live behind this seam today:
+// RxDriver owns what every receive architecture shares, modelled once:
 //
-//  * NicRx (rx_driver = kRss): RSS multi-queue rings + interrupt moderation +
-//    the NAPI poll loop (nic_rx.h) — the paper's testbed model.
+//  * Ring admission: checksum/FCS validation, the ring cap (tail drop), the
+//    rx timestamp and the ring high watermark.
+//  * Interrupt moderation: interrupts are rate-limited to one per
+//    `int_coalesce` per ring. At line rate this batches ~100 packets per
+//    interrupt (the "interrupt coalescing acts as an additional reordering
+//    buffer" effect behind the τ−τ₀ thresholds of Figs. 13/14); at low load
+//    the first packet fires immediately, so RPC latency is not inflated.
+//    While the driver is already polling a ring, arrivals raise none.
+//  * The GRO stage: a poll round's harvest goes to the ring's GroEngine as
+//    one batch, then the engine's PollComplete() — "GRO's batching interval
+//    is the same as the driver's polling interval". Driver + GRO costs are
+//    charged to the ring's RX core and merged segments reach the host only
+//    after that work completes, so RX-core saturation delays delivery (and
+//    ring overflow drops packets). The engine's high-resolution timer and
+//    flow-cap pressure run through the same RX-core path.
+//
+// Two drivers differ only in how ring packets reach the GRO stage:
+//
+//  * NicRx (rx_driver = kRss): RSS steering over multi-queue rings and the
+//    NAPI poll loop (nic_rx.h) — the paper's testbed model.
 //  * CorecRx (rx_driver = kCorec): a COREC-style concurrent non-blocking
 //    single-queue driver (corec_rx.h) — one shared descriptor ring, per-
 //    consumer claim/commit windows that may complete out of order, and an
-//    in-order hand-off stage that feeds the same batched GRO path.
+//    in-order hand-off of each completed run to the GRO stage.
 //
 // The seam exists so the chaos/fuzz/overload matrices can run every stack
 // against every receive architecture and assert the TCP-level stream is
@@ -17,9 +35,11 @@
 #ifndef JUGGLER_SRC_NIC_RX_DRIVER_H_
 #define JUGGLER_SRC_NIC_RX_DRIVER_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cpu/cost_model.h"
 #include "src/cpu/cpu_core.h"
@@ -120,35 +140,108 @@ struct CorecRxStats {
   uint64_t wedged = 0;            // 1 if the debug wedge plant fired
 };
 
-// Abstract receive-path driver. Owns the RX cores and the GRO engine(s),
-// accepts packets from the wire, and delivers merged segments to `sink`
-// after charging driver + GRO costs to an RX core.
+// The shared receive-path core. Owns the rings, the RX cores and the GRO
+// engine(s), accepts packets from the wire, and delivers merged segments to
+// `sink` after charging driver + GRO costs to an RX core. A driver supplies
+// only what happens between the interrupt and the GRO stage.
 class RxDriver : public PacketSink {
  public:
   using GroFactory = std::function<std::unique_ptr<GroEngine>(const CpuCostModel*)>;
 
   ~RxDriver() override = default;
 
-  virtual size_t num_queues() const = 0;
-  virtual CpuCore* rx_core(size_t q) = 0;
-  virtual GroEngine* gro(size_t q) = 0;
-  virtual const NicRxStats& stats() const = 0;
+  // Packet arriving from the wire: ring admission, then the moderated
+  // interrupt.
+  void Accept(PacketPtr packet) final;
+
+  size_t num_queues() const { return queues_.size(); }
+  // The core a ring's GRO stage is charged to: merged segments leave on its
+  // clock, which is what callers (overload auditor, tests) use it for.
+  CpuCore* rx_core(size_t q) { return &queues_[q]->core; }
+  GroEngine* gro(size_t q) { return queues_[q]->gro.get(); }
+  const NicRxStats& stats() const { return stats_; }
   // Sum of GRO stats across queues.
-  virtual GroStats TotalGroStats() const = 0;
-  virtual const NicRxConfig& config() const = 0;
+  GroStats TotalGroStats() const;
+  const NicRxConfig& config() const { return config_; }
 
   // Overload-resilience knobs (memory brown-outs shrink these mid-run).
   // Shrinking the ring does not evict already-queued packets; it only tail-
   // drops new arrivals until the driver drains under the new cap.
-  virtual void set_ring_capacity(size_t capacity) = 0;
+  void set_ring_capacity(size_t capacity) {
+    config_.ring_capacity = capacity < 1 ? 1 : capacity;
+  }
 
   // Propagate a flow-table pressure cap to every GRO engine, through the RX
   // cores (same path as GRO timers) so evicted segments are delivered and
   // charged exactly like any other GRO work.
-  virtual void ApplyGroFlowCap(size_t max_flows) = 0;
+  void ApplyGroFlowCap(size_t max_flows);
 
   // Non-null only for the COREC driver.
   virtual const CorecRxStats* corec_stats() const { return nullptr; }
+
+ protected:
+  // One ring and the GRO stage behind it. Each queue is its engine's
+  // GroHost: deliveries buffer into `pending_segments` until the RX-core
+  // work that produced them completes.
+  struct RxQueue : public GroHost {
+    RxDriver* driver;
+    size_t index;
+    std::deque<PacketPtr> ring;
+    std::unique_ptr<GroEngine> gro;
+    CpuCore core;
+    std::vector<Segment> pending_segments;  // collected during a GRO call
+    TimeNs last_interrupt = -(1LL << 60);   // long ago: first packet fires now
+    bool interrupt_pending = false;
+    // The driver is draining this ring without interrupts (a NAPI session, a
+    // busy COREC consumer), so arrivals raise none.
+    bool polling = false;
+    TimerId gro_timer = kInvalidTimerId;
+
+    RxQueue(RxDriver* d, size_t i)
+        : driver(d), index(i), core(d->loop_, "rx_core_" + std::to_string(i)) {}
+
+    void GroDeliver(Segment segment) override {
+      pending_segments.push_back(std::move(segment));
+    }
+    void GroArmTimer(TimeNs when) override;
+  };
+
+  RxDriver(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
+           const GroFactory& gro_factory, SegmentSink* sink, size_t num_queues);
+
+  // The ring an admitted packet joins (one shared ring unless overridden).
+  virtual size_t Steer(const Packet&) const { return 0; }
+  // q's moderated interrupt fired: start draining its ring.
+  virtual void OnInterrupt(RxQueue* q) = 0;
+  // A GRO round on q has been charged and its segments delivered.
+  virtual void OnRoundDelivered(RxQueue*) {}
+
+  // Arm q's interrupt no sooner than `int_coalesce` after its last one,
+  // unless the driver is polling q or an interrupt is already armed.
+  void ScheduleInterrupt(RxQueue* q);
+  // Hand one poll round's harvest, in ring order, to q's engine and return
+  // the engine's cost.
+  TimeNs GroReceive(RxQueue* q, PacketPtr* packets, size_t count);
+  // Close q's poll round with the engine's PollComplete() (flush decisions,
+  // timeout checks) and charge `cost` plus its cost to q's RX core; the
+  // round's segments reach the sink when that work completes.
+  void CompleteGroRound(RxQueue* q, TimeNs cost);
+
+  EventLoop* loop_;
+  const CpuCostModel* costs_;
+  NicRxConfig config_;
+  NicRxStats stats_;
+  std::vector<std::unique_ptr<RxQueue>> queues_;
+
+ private:
+  void FireInterrupt(RxQueue* q);
+  // Run `work` (an engine call returning its cost) on q's RX core, then
+  // deliver what it flushed once that cost is paid.
+  template <typename Work>
+  void SubmitGroWork(RxQueue* q, Work work);
+  void DeliverPending(RxQueue* q);
+
+  SegmentSink* sink_;
 };
 
 // Instantiate the driver named by `config.driver`.

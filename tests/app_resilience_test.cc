@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/sim/event_loop.h"
+#include "src/util/rng.h"
 #include "src/workload/app_resilience.h"
 #include "src/workload/frame_channel.h"
 
@@ -63,6 +65,51 @@ TEST(FrameChannelTest, PopsHeadersInSendOrderAsDeliveryTotalSweeps) {
 
   ch.OnDeliverTotal(151);  // idempotent: no double pops
   EXPECT_EQ(got.size(), 3u);
+}
+
+// Chunked delivery, shaped like a partial-receive transport test: a seeded
+// stream of 1-3000 B frames is swept by delivery totals in 128-512 B steps
+// for its first half and byte by byte after that, with some totals
+// delivered twice. Each header must pop exactly once, in send order, at the
+// step that covers its last byte.
+TEST(FrameChannelTest, ChunkedDeliveryPopsEachHeaderOnceAtItsLastByte) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    FrameChannel ch(nullptr);
+    std::vector<uint64_t> popped;
+    ch.set_on_frame([&](const FrameHeader& h) { popped.push_back(h.request_id); });
+    std::vector<uint64_t> ends;  // stream offset one past each frame's last byte
+    uint64_t total = 0;
+    const uint64_t frames = 50 + rng.NextBounded(51);
+    for (uint64_t i = 0; i < frames; ++i) {
+      const uint64_t bytes = static_cast<uint64_t>(rng.NextInRange(1, 3000));
+      FrameHeader h;
+      h.request_id = i;
+      ch.SendFrame(bytes, h);
+      total += bytes;
+      ends.push_back(total);
+    }
+    uint64_t delivered = 0;
+    size_t covered = 0;  // frames whose last byte the current total covers
+    while (delivered < total) {
+      const uint64_t step =
+          delivered < total / 2 ? static_cast<uint64_t>(rng.NextInRange(128, 512)) : 1;
+      delivered = std::min(total, delivered + step);
+      const int repeats = rng.NextBool(0.25) ? 2 : 1;
+      for (int r = 0; r < repeats; ++r) {
+        ch.OnDeliverTotal(delivered);
+      }
+      while (covered < ends.size() && ends[covered] <= delivered) {
+        ++covered;
+      }
+      ASSERT_EQ(popped.size(), covered) << "seed " << seed << " at total " << delivered;
+    }
+    ASSERT_EQ(popped.size(), frames) << "seed " << seed;
+    for (uint64_t i = 0; i < frames; ++i) {
+      ASSERT_EQ(popped[i], i) << "seed " << seed << ": headers must pop in send order";
+    }
+    EXPECT_EQ(ch.frames_delivered(), frames);
+  }
 }
 
 AppWorkloadOptions RpcOptions() {

@@ -220,16 +220,6 @@ TEST(LoadBalancerTest, EcmpSpreadsFlows) {
   }
 }
 
-TEST(LoadBalancerTest, PerPacketRoundRobins) {
-  LoadBalancer lb(LbPolicy::kPerPacketRR, 3);
-  Packet p;
-  p.flow = TestFlow();
-  EXPECT_EQ(lb.PickPath(p), 0u);
-  EXPECT_EQ(lb.PickPath(p), 1u);
-  EXPECT_EQ(lb.PickPath(p), 2u);
-  EXPECT_EQ(lb.PickPath(p), 0u);
-}
-
 TEST(LoadBalancerTest, PerPacketSpraysUniformly) {
   LoadBalancer lb(LbPolicy::kPerPacket, 3, /*seed=*/5);
   Packet p;
@@ -298,7 +288,7 @@ TEST(SwitchTest, DefaultRouteUsesUplinks) {
   PacketFactory f;
   CollectorSink up0(&loop);
   CollectorSink up1(&loop);
-  Switch sw("sw", LbPolicy::kPerPacketRR);
+  Switch sw("sw", LbPolicy::kPerPacket);
   sw.AddUplink(&up0);
   sw.AddUplink(&up1);
   for (int i = 0; i < 10; ++i) {
@@ -306,8 +296,11 @@ TEST(SwitchTest, DefaultRouteUsesUplinks) {
     p->flow.dst_ip = 99;  // no exact route
     sw.Accept(std::move(p));
   }
-  EXPECT_EQ(up0.packets.size(), 5u);
-  EXPECT_EQ(up1.packets.size(), 5u);
+  // Every packet leaves by an uplink, and spraying uses both of them.
+  EXPECT_EQ(up0.packets.size() + up1.packets.size(), 10u);
+  EXPECT_GT(up0.packets.size(), 0u);
+  EXPECT_GT(up1.packets.size(), 0u);
+  EXPECT_EQ(sw.dropped_no_route(), 0u);
 }
 
 TEST(SwitchTest, NoRouteCountsDrop) {

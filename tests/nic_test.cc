@@ -332,11 +332,11 @@ TEST(CorecRxTest, ReorderAbsorbedThroughHandoff) {
 }
 
 TEST(CorecRxTest, OutOfOrderCommitsAreCountedAndReordered) {
-  // 40 packets against 4 consumers x 16-descriptor windows: the third
-  // consumer's short window (8 packets) completes before the first two
-  // 16-packet windows, so its commit is out of order, its slots park behind
-  // the incomplete head (a stall), and the hand-off stage must still feed
-  // GRO the full burst in ring order.
+  // 40 packets against 32-descriptor claim windows: the first consumer
+  // claims 32 and the second the remaining 8. The short window completes
+  // first, so its commit is out of order, its slots park behind the
+  // incomplete head (a stall), and the hand-off stage must still feed GRO
+  // the full burst in ring order.
   EventLoop loop;
   PacketFactory f;
   CpuCostModel costs;
@@ -349,12 +349,71 @@ TEST(CorecRxTest, OutOfOrderCommitsAreCountedAndReordered) {
   loop.Run();
   const CorecRxStats& cs = *nic->corec_stats();
   EXPECT_EQ(cs.claimed_packets, 40u);
+  EXPECT_EQ(cs.claims, 2u) << "one window of 32, one of 8";
   EXPECT_EQ(cs.claims, cs.commits) << "every claimed window must commit";
   EXPECT_GT(cs.ooo_commits, 0u) << "the short window must complete first";
   EXPECT_GT(cs.handoff_stalls, 0u);
   EXPECT_GE(cs.ooo_depth_max, 1u);
   EXPECT_EQ(cs.wedged, 0u);
   EXPECT_EQ(TotalPayload(sink.segments), 40u * kMss) << "nothing may strand in the slots";
+}
+
+TEST(CorecRxTest, JugglerTimerFiresThroughHandoffCore) {
+  // The hrtimer path behind COREC: in-sequence data held by Juggler must
+  // flush via the timer even if no further packets or hand-offs happen, and
+  // reach the sink only after the flush work is paid on the hand-off core.
+  EventLoop loop;
+  PacketFactory f;
+  CpuCostModel costs;
+  SegmentCollector sink(&loop);
+  JugglerConfig jcfg;
+  jcfg.inseq_timeout = Us(15);
+  std::unique_ptr<RxDriver> nic =
+      MakeRxDriver(&loop, &costs, CorecConfig(), JugglerFactory(jcfg), &sink);
+  nic->Accept(Wire(&f, 0));
+  loop.RunUntil(Us(10));  // claimed, committed and handed to GRO, still held
+  ASSERT_TRUE(sink.segments.empty());
+  const TimeNs deadline = static_cast<Juggler*>(nic->gro(0))->armed_deadline();
+  EXPECT_GE(deadline, Us(15));
+  const TimeNs busy_before = nic->rx_core(0)->busy_ns();
+  loop.Run();  // runs until the timer fires and the flush completes
+  ASSERT_EQ(sink.segments.size(), 1u);
+  const TimeNs charged = nic->rx_core(0)->busy_ns() - busy_before;
+  EXPECT_GT(charged, 0);
+  EXPECT_EQ(sink.times[0], deadline + charged) << "the idle hand-off core pays first";
+  EXPECT_LT(sink.times[0], Us(40));
+  EXPECT_EQ(nic->TotalGroStats().flush_by_reason[static_cast<int>(FlushReason::kInseqTimeout)],
+            1u);
+}
+
+TEST(CorecRxTest, FlowCapEvictsHeldRunThroughHandoffCore) {
+  // ApplyGroFlowCap behind COREC: shrinking the flow table below its
+  // occupancy evicts a held run, which reaches the sink only after the
+  // eviction work is paid on the hand-off core.
+  EventLoop loop;
+  PacketFactory f;
+  CpuCostModel costs;
+  SegmentCollector sink(&loop);
+  JugglerConfig jcfg;
+  jcfg.inseq_timeout = Ms(10);  // nothing flushes on its own within the test
+  jcfg.ofo_timeout = Ms(10);
+  std::unique_ptr<RxDriver> nic =
+      MakeRxDriver(&loop, &costs, CorecConfig(), JugglerFactory(jcfg), &sink);
+  nic->Accept(Wire(&f, 0));
+  PacketPtr other = Wire(&f, 0);
+  other->flow = TestFlow(1001, 2000);
+  nic->Accept(std::move(other));
+  loop.RunUntil(Us(100));
+  ASSERT_TRUE(sink.segments.empty()) << "both flows' runs are held";
+  const TimeNs busy_before = nic->rx_core(0)->busy_ns();
+  nic->ApplyGroFlowCap(1);
+  loop.RunUntil(Us(200));
+  ASSERT_EQ(sink.segments.size(), 1u) << "exactly one flow is evicted";
+  EXPECT_EQ(sink.segments[0].payload_len, kMss);
+  const TimeNs charged = nic->rx_core(0)->busy_ns() - busy_before;
+  EXPECT_GT(charged, 0);
+  EXPECT_EQ(sink.times[0], Us(100) + charged) << "the idle hand-off core pays first";
+  EXPECT_EQ(nic->TotalGroStats().flush_by_reason[static_cast<int>(FlushReason::kEviction)], 1u);
 }
 
 TEST(CorecRxTest, MatchesRssDeliveryByteForByte) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/qos/priority_controller.h"
+#include "src/util/rng.h"
 #include "src/workload/message_stream.h"
 #include "src/workload/rpc_generator.h"
 #include "tests/test_util.h"
@@ -213,6 +216,67 @@ TEST(MessageStreamTest, DeliveryAfterCloseIsLateNotCompleted) {
   EXPECT_EQ(stream.completed(), 0u);
   EXPECT_GE(stream.late_deliveries(), 1u);
   EXPECT_EQ(lat.count(), 0u);
+}
+
+// Sends `sizes` as messages, delivers `segments` (payload lengths) to the
+// peer endpoint in order, and returns how many messages completed.
+uint64_t CompletedAfterDelivery(const std::vector<uint64_t>& sizes,
+                                const std::vector<uint32_t>& segments) {
+  StubConnection c;
+  StubConnection peer;
+  PercentileSampler lat;
+  MessageStream stream(&c.loop, c.endpoint.get(), peer.endpoint.get(), &lat);
+  for (uint64_t bytes : sizes) {
+    stream.SendMessage(bytes);
+  }
+  Segment s;
+  s.flow = TestFlow();
+  s.flags = kFlagAck;
+  for (uint32_t len : segments) {
+    s.payload_len = len;
+    s.mtu_count = (len + kMss - 1) / kMss;
+    peer.endpoint->OnSegment(s);
+    s.seq += len;
+  }
+  EXPECT_EQ(lat.count(), stream.completed()) << "one latency sample per completion";
+  return stream.completed();
+}
+
+// Chunked delivery, shaped like a partial-receive transport test: a seeded
+// stream of 0-3000 B messages, delivered whole (odd seeds) or cut at a
+// seeded point (even seeds) as in-order segments of 128-512 B, must
+// complete exactly the messages that one whole delivery of the same bytes
+// completes: the empty ones and those whose last byte arrived.
+TEST(MessageStreamTest, ChunkedDeliveryCompletesWhatWholeDeliveryDoes) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> sizes(50 + rng.NextBounded(51));
+    uint64_t total = 0;
+    for (uint64_t& bytes : sizes) {
+      bytes = static_cast<uint64_t>(rng.NextInRange(0, 3000));
+      total += bytes;
+    }
+    const uint64_t cut = seed % 2 == 0 ? 1 + rng.NextBounded(std::min<uint64_t>(total, 3000)) : 0;
+    const uint64_t delivered = total - cut;
+    uint64_t expected = 0;
+    uint64_t end = 0;
+    for (uint64_t bytes : sizes) {
+      end += bytes;
+      expected += (bytes == 0 || end <= delivered) ? 1 : 0;
+    }
+    std::vector<uint32_t> chunks;
+    for (uint64_t sent = 0; sent < delivered;) {
+      const uint64_t len =
+          std::min(delivered - sent, static_cast<uint64_t>(rng.NextInRange(128, 512)));
+      chunks.push_back(static_cast<uint32_t>(len));
+      sent += len;
+    }
+    const uint64_t whole =
+        CompletedAfterDelivery(sizes, {static_cast<uint32_t>(delivered)});
+    EXPECT_EQ(whole, expected) << "seed " << seed;
+    EXPECT_EQ(CompletedAfterDelivery(sizes, chunks), whole)
+        << "seed " << seed << ": " << chunks.size() << " chunks of " << delivered << " B";
+  }
 }
 
 TEST(RpcGeneratorTest, PoissonRateIsApproximatelyRight) {
