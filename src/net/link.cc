@@ -1,6 +1,6 @@
 #include "src/net/link.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -25,8 +25,8 @@ Link::Link(EventLoop* loop, std::string name, const LinkConfig& config, PacketSi
   if (config_.ecn) {
     JUG_CHECK(config_.ecn_threshold_fill >= 0.0 && config_.ecn_threshold_fill <= 1.0);
   }
-  queues_.resize(static_cast<size_t>(config_.num_priorities));
-  queued_bytes_.resize(static_cast<size_t>(config_.num_priorities), 0);
+  lower_.resize(static_cast<size_t>(config_.num_priorities - 1));
+  waiting_bytes_.resize(static_cast<size_t>(config_.num_priorities), 0);
 }
 
 void Link::SetDown() {
@@ -35,6 +35,7 @@ void Link::SetDown() {
   }
   down_ = true;
   ++stats_.down_transitions;
+  Retime();
 }
 
 void Link::SetUp() {
@@ -42,12 +43,13 @@ void Link::SetUp() {
     return;
   }
   down_ = false;
-  StartNextIfIdle();
+  Retime();
 }
 
 void Link::set_rate_bps(int64_t rate_bps) {
   JUG_CHECK(rate_bps > 0);
   config_.rate_bps = rate_bps;
+  Retime();
 }
 
 void Link::Accept(PacketPtr packet) {
@@ -55,17 +57,18 @@ void Link::Accept(PacketPtr packet) {
     ++stats_.down_drops;
     return;  // blackhole while the port is down
   }
+  Drain();
   size_t level = static_cast<size_t>(packet->priority);
-  if (level >= queues_.size()) {
-    level = queues_.size() - 1;  // single-FIFO links ignore priority
+  if (level >= waiting_bytes_.size()) {
+    level = waiting_bytes_.size() - 1;  // single-FIFO links ignore priority
   }
   const int64_t wire = packet->wire_bytes();
-  if (config_.queue_limit_bytes > 0 && queued_bytes_[level] + wire > config_.queue_limit_bytes) {
+  if (config_.queue_limit_bytes > 0 && waiting_bytes_[level] + wire > config_.queue_limit_bytes) {
     ++stats_.drops;
     return;  // drop-tail
   }
   if (config_.ecn && config_.queue_limit_bytes > 0 && packet->payload_len > 0) {
-    const double fill = static_cast<double>(queued_bytes_[level]) /
+    const double fill = static_cast<double>(waiting_bytes_[level]) /
                         static_cast<double>(config_.queue_limit_bytes);
     if (fill > config_.ecn_threshold_fill) {
       packet->ce_mark = true;
@@ -73,7 +76,7 @@ void Link::Accept(PacketPtr packet) {
     }
   }
   if (config_.red && config_.queue_limit_bytes > 0) {
-    const double fill = static_cast<double>(queued_bytes_[level]) /
+    const double fill = static_cast<double>(waiting_bytes_[level]) /
                         static_cast<double>(config_.queue_limit_bytes);
     if (fill > config_.red_min_fill) {
       const double ramp = (fill - config_.red_min_fill) /
@@ -86,50 +89,113 @@ void Link::Accept(PacketPtr packet) {
       }
     }
   }
-  queued_bytes_[level] += wire;
-  total_queued_bytes_ += wire;
-  if (total_queued_bytes_ > stats_.max_queue_bytes) {
-    stats_.max_queue_bytes = total_queued_bytes_;
+  waiting_bytes_[level] += wire;
+  queued_bytes_ += wire;
+  if (queued_bytes_ > stats_.max_queue_bytes) {
+    stats_.max_queue_bytes = queued_bytes_;
   }
-  queues_[level].push_back(std::move(packet));
-  StartNextIfIdle();
-}
-
-void Link::StartNextIfIdle() {
-  if (transmitting_ || down_) {
+  if (level == 0) {
+    Commit(Push(Frame{std::move(packet), kUntimed, kUntimed, static_cast<uint32_t>(wire), 0}));
+    ArmArrival();
     return;
   }
-  for (size_t level = 0; level < queues_.size(); ++level) {
-    if (queues_[level].empty()) {
-      continue;
+  lower_[level - 1].emplace_back(std::move(packet));
+  ++lower_frames_;
+  Serve();
+}
+
+uint64_t Link::Push(Frame frame) {
+  if (tail_ - head_ == frames_.size()) {
+    std::vector<Frame> bigger(frames_.empty() ? 8 : 2 * frames_.size());
+    for (uint64_t i = head_; i != tail_; ++i) {
+      bigger[i & (bigger.size() - 1)] = std::move(at(i));
     }
-    in_flight_ = std::move(queues_[level].front());
-    queues_[level].pop_front();
-    const int64_t wire = in_flight_->wire_bytes();
-    queued_bytes_[level] -= wire;
-    transmitting_ = true;
-    loop_->Schedule(SerializationTime(wire, config_.rate_bps), [this] { OnTransmitDone(); });
-    return;
+    frames_.swap(bigger);
+  }
+  at(tail_) = std::move(frame);
+  return tail_++;
+}
+
+void Link::Commit(uint64_t i) {
+  Frame& frame = at(i);
+  frame.start = std::max(loop_->now(), busy_until_);
+  frame.done = frame.start + SerializationTime(frame.wire, config_.rate_bps);
+  busy_until_ = frame.done;
+}
+
+void Link::Retime() {
+  Drain();
+  if (started_ == head_) {
+    loop_->Cancel(arrival_timer_);  // the oldest frame's departure moves
+    arrival_timer_ = kInvalidTimerId;
+  }
+  busy_until_ = started_ != head_ ? at(started_ - 1).done : loop_->now();
+  for (uint64_t i = started_; i != tail_; ++i) {
+    if (down_) {
+      at(i).start = kUntimed;
+      at(i).done = kUntimed;
+    } else {
+      Commit(i);
+    }
+  }
+  ArmArrival();
+  // busy_until_ moved, so a pending serializer event may be early or late.
+  loop_->Cancel(serializer_timer_);
+  Serve();
+}
+
+void Link::Drain() const {
+  const TimeNs now = loop_->now();
+  while (started_ != tail_ && at(started_).start <= now) {
+    const Frame& frame = at(started_++);
+    waiting_bytes_[frame.level] -= frame.wire;
+  }
+  while (done_ != started_ && at(done_).done <= now) {
+    const Frame& frame = at(done_++);
+    queued_bytes_ -= frame.wire;
+    ++stats_.packets_tx;
+    stats_.bytes_tx += frame.wire;
   }
 }
 
-void Link::OnTransmitDone() {
-  PacketPtr packet = std::move(in_flight_);
-  const int64_t wire = packet->wire_bytes();
-  total_queued_bytes_ -= wire;
-  ++stats_.packets_tx;
-  stats_.bytes_tx += static_cast<uint64_t>(wire);
-  transmitting_ = false;
-  if (config_.propagation_delay > 0) {
-    // Hand the packet off after flight time; the move-only callback owns the
-    // packet in flight (freed if the loop is destroyed first).
-    PacketSink* sink = sink_;
-    loop_->Schedule(config_.propagation_delay,
-                    [sink, p = std::move(packet)]() mutable { sink->Accept(std::move(p)); });
-  } else {
-    sink_->Accept(std::move(packet));
+void Link::ArmArrival() {
+  if (arrival_timer_ != kInvalidTimerId || head_ == tail_ || at(head_).done == kUntimed) {
+    return;
   }
-  StartNextIfIdle();
+  arrival_timer_ =
+      loop_->ScheduleAt(at(head_).done + config_.propagation_delay, [this] { Arrive(); });
+}
+
+void Link::Arrive() {
+  arrival_timer_ = kInvalidTimerId;
+  Drain();  // counts the frame's serialization before it leaves the ring
+  PacketPtr packet = std::move(at(head_).packet);
+  ++head_;
+  ArmArrival();
+  sink_->Accept(std::move(packet));
+}
+
+void Link::Serve() {
+  if (down_ || lower_frames_ == 0) {
+    return;
+  }
+  if (busy_until_ <= loop_->now()) {
+    for (size_t l = 0; l < lower_.size(); ++l) {
+      if (lower_[l].empty()) {
+        continue;
+      }
+      PacketPtr packet = std::move(lower_[l].front());
+      lower_[l].pop_front();
+      --lower_frames_;
+      const uint32_t wire = packet->wire_bytes();
+      Commit(Push(Frame{std::move(packet), kUntimed, kUntimed, wire, static_cast<uint8_t>(l + 1)}));
+      ArmArrival();
+      break;
+    }
+  }
+  if (lower_frames_ > 0 && !loop_->IsPending(serializer_timer_)) {
+    serializer_timer_ = loop_->ScheduleAt(busy_until_, [this] { Serve(); });
+  }
 }
 
 void PublishLinkStats(const LinkStats& stats, const std::string& label,

@@ -2,13 +2,17 @@
 // optional default uplink group balanced by an LbPolicy. Output queueing is
 // delegated to the Link attached to each port, so congestion, buffer
 // build-up and drops happen where they do in a real switch.
+//
+// Routes live in a flat open-addressed table (power-of-two slots, at most
+// half full, linear probing), so the per-hop lookup is a multiply and, at
+// that load, usually a single slot compare.
 
 #ifndef JUGGLER_SRC_NET_SWITCH_H_
 #define JUGGLER_SRC_NET_SWITCH_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/link.h"
@@ -22,8 +26,9 @@ class Switch : public PacketSink {
   Switch(std::string name, LbPolicy uplink_policy)
       : name_(std::move(name)), uplink_policy_(uplink_policy) {}
 
-  // Exact-match route: packets to `dst_ip` exit through `port`.
-  void AddRoute(uint32_t dst_ip, PacketSink* port) { routes_[dst_ip] = port; }
+  // Exact-match route: packets to `dst_ip` exit through `port`; a second
+  // route to the same address replaces the first.
+  void AddRoute(uint32_t dst_ip, PacketSink* port);
 
   // Default route: packets with no exact match are balanced across these.
   // Pass `link` when the port is a Link so congestion-aware policies
@@ -37,11 +42,25 @@ class Switch : public PacketSink {
   const std::string& name() const { return name_; }
 
  private:
+  struct Route {
+    uint32_t dst_ip = 0;
+    PacketSink* port = nullptr;  // null: empty slot
+  };
+
+  // The slot holding `dst_ip`'s route, or the empty slot where it would go.
+  // The table must be non-empty.
+  size_t Probe(uint32_t dst_ip) const;
+
   std::string name_;
   LbPolicy uplink_policy_;
-  std::unordered_map<uint32_t, PacketSink*> routes_;
+  std::vector<Route> routes_;  // 2^route_bits_ slots; empty until the first AddRoute
+  int route_bits_ = 0;
+  size_t route_count_ = 0;
   std::vector<PacketSink*> uplinks_;
   std::vector<const Link*> uplink_links_;  // nullable congestion probes
+  // Flowlet congestion feedback, refilled per packet: one depth per uplink
+  // when every uplink has a probe, else empty (new flowlets pick randomly).
+  std::vector<int64_t> uplink_depths_;
   std::unique_ptr<LoadBalancer> balancer_;
   uint64_t forwarded_ = 0;
   uint64_t no_route_ = 0;

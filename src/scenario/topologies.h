@@ -71,8 +71,9 @@ class Partition {
   NodeDomain Place(std::string node) const;
 
   // A link driven from `from` into `sink`, which runs in `to`. Within one
-  // domain the link's flight timer carries the propagation delay; across
-  // domains the link hands packets to a crossing that carries it instead.
+  // domain the link's arrival timer adds the propagation delay; across
+  // domains the link has none of its own and hands each frame, as its
+  // serialization ends, to a crossing that carries the delay instead.
   Link* AddLink(Fabric* fabric, const NodeDomain& from, const NodeDomain& to, std::string name,
                 LinkConfig config, PacketSink* sink) const;
 

@@ -1,4 +1,4 @@
-// A vector-backed FIFO for small trivially-destructible elements.
+// A vector-backed FIFO for small elements (trivial records, PacketPtr).
 //
 // std::deque is the obvious container for a push-back/pop-front queue, but
 // libstdc++'s deque allocates its map block plus one 512-byte node the

@@ -302,6 +302,119 @@ TEST(LinkFailureTest, RuntimeRateDegradationSlowsSerialization) {
   EXPECT_LE(slow, 10 * fast);
 }
 
+TEST(LinkFailureTest, DownWindowRetimesQueuedFramesFromSetUp) {
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(2);
+  Link link(&loop, "l", cfg, &sink);
+  for (Seq s = 0; s < 4; ++s) {
+    link.Accept(WirePacket(s * kMss));
+  }
+  const TimeNs ser = SerializationTime(kMss + kPerPacketWireOverhead, cfg.rate_bps);
+  loop.RunUntil(ser / 2);
+  link.SetDown();  // frame 0 is serializing, three wait behind it
+  const TimeNs up_at = Us(10);  // an outage several frames long
+  loop.RunUntil(up_at);
+  ASSERT_EQ(sink.packets.size(), 1u);
+  EXPECT_EQ(sink.arrival_times[0], ser + cfg.propagation_delay);  // drained on time
+  link.SetUp();
+  loop.Run();
+  ASSERT_EQ(sink.packets.size(), 4u);
+  for (size_t k = 1; k < 4; ++k) {
+    EXPECT_EQ(sink.packets[k]->seq, k * kMss);
+    EXPECT_EQ(sink.arrival_times[k],
+              up_at + static_cast<TimeNs>(k) * ser + cfg.propagation_delay)
+        << "frame " << k;
+  }
+  EXPECT_EQ(link.stats().packets_tx, 4u);
+  EXPECT_EQ(link.queued_bytes(), 0);
+}
+
+TEST(LinkFailureTest, RateChangeRetimesOnlyFramesNotStarted) {
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(2);
+  Link link(&loop, "l", cfg, &sink);
+  for (Seq s = 0; s < 3; ++s) {
+    link.Accept(WirePacket(s * kMss));
+  }
+  const int64_t wire = kMss + kPerPacketWireOverhead;
+  const TimeNs fast = SerializationTime(wire, cfg.rate_bps);
+  const TimeNs slow = SerializationTime(wire, 1 * kGbps);
+  loop.RunUntil(fast / 2);
+  link.set_rate_bps(1 * kGbps);  // frame 0 keeps the old rate
+  loop.Run();
+  ASSERT_EQ(sink.packets.size(), 3u);
+  EXPECT_EQ(sink.arrival_times[0], fast + cfg.propagation_delay);
+  EXPECT_EQ(sink.arrival_times[1], fast + slow + cfg.propagation_delay);
+  EXPECT_EQ(sink.arrival_times[2], fast + 2 * slow + cfg.propagation_delay);
+}
+
+PacketPtr PrioPacket(Seq seq, Priority prio) {
+  PacketPtr p = WirePacket(seq);
+  p->priority = prio;
+  return p;
+}
+
+TEST(LinkFailureTest, StrictPriorityDownWindowServesHighFirstAfterSetUp) {
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(2);
+  cfg.num_priorities = 2;
+  Link link(&loop, "l", cfg, &sink);
+  for (Seq s = 0; s < 3; ++s) {
+    link.Accept(PrioPacket(s * kMss, Priority::kLow));
+  }
+  link.Accept(PrioPacket(100 * kMss, Priority::kHigh));
+  const TimeNs ser = SerializationTime(kMss + kPerPacketWireOverhead, cfg.rate_bps);
+  loop.RunUntil(ser / 2);
+  link.SetDown();  // low 0 serializing; the high and two lows wait
+  const TimeNs up_at = Us(10);
+  loop.RunUntil(up_at);
+  ASSERT_EQ(sink.packets.size(), 1u);
+  link.SetUp();
+  loop.Run();
+  ASSERT_EQ(sink.packets.size(), 4u);
+  const Seq order[] = {0, 100 * kMss, kMss, 2 * kMss};
+  const TimeNs arrival[] = {ser, up_at + ser, up_at + 2 * ser, up_at + 3 * ser};
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(sink.packets[k]->seq, order[k]) << "frame " << k;
+    EXPECT_EQ(sink.arrival_times[k], arrival[k] + cfg.propagation_delay) << "frame " << k;
+  }
+}
+
+TEST(LinkFailureTest, StrictPriorityRateChangeMovesTheNextLowStart) {
+  // A rate rise re-times the high frame queued behind the serializing low,
+  // so the serializer must reach the next low earlier than it planned.
+  EventLoop loop;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 1 * kGbps;
+  cfg.propagation_delay = Us(2);
+  cfg.num_priorities = 2;
+  Link link(&loop, "l", cfg, &sink);
+  link.Accept(PrioPacket(0, Priority::kLow));
+  link.Accept(PrioPacket(100 * kMss, Priority::kHigh));
+  link.Accept(PrioPacket(kMss, Priority::kLow));  // planned after the high
+  const int64_t wire = kMss + kPerPacketWireOverhead;
+  const TimeNs slow = SerializationTime(wire, cfg.rate_bps);
+  const TimeNs fast = SerializationTime(wire, 10 * kGbps);
+  loop.RunUntil(slow / 2);
+  link.set_rate_bps(10 * kGbps);
+  loop.Run();
+  ASSERT_EQ(sink.packets.size(), 3u);
+  EXPECT_EQ(sink.packets[1]->seq, 100 * kMss);
+  EXPECT_EQ(sink.arrival_times[0], slow + cfg.propagation_delay);
+  EXPECT_EQ(sink.arrival_times[1], slow + fast + cfg.propagation_delay);
+  EXPECT_EQ(sink.arrival_times[2], slow + 2 * fast + cfg.propagation_delay);
+}
+
 TEST(LinkFailureTest, SetDownIdempotent) {
   EventLoop loop;
   CollectorSink sink(&loop);

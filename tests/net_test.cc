@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/net/link.h"
@@ -125,6 +126,104 @@ TEST(LinkTest, StrictPriorityServesHighFirst) {
   loop.Run();
   ASSERT_EQ(sink.packets.size(), 6u);
   EXPECT_EQ(sink.packets[1]->seq, 100 * kMss);  // high right after in-flight
+}
+
+TEST(LinkTest, BackToBackFramesCostOneEventEach) {
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(5);
+  Link link(&loop, "l", cfg, &sink);
+  constexpr int kFrames = 8;
+  for (int k = 0; k < kFrames; ++k) {
+    link.Accept(WirePacket(&f, static_cast<Seq>(k) * kMss));
+  }
+  loop.Run();
+  // One arrival event per frame: no transmit-done event, no flight event.
+  EXPECT_EQ(loop.executed_events(), static_cast<uint64_t>(kFrames));
+  ASSERT_EQ(sink.packets.size(), static_cast<size_t>(kFrames));
+  const TimeNs ser = SerializationTime(kMss + kPerPacketWireOverhead, cfg.rate_bps);
+  for (int k = 0; k < kFrames; ++k) {
+    EXPECT_EQ(sink.arrival_times[k], (k + 1) * ser + cfg.propagation_delay) << "frame " << k;
+  }
+}
+
+TEST(LinkTest, LinkSwitchLinkChainCostsTwoEventsPerFrame) {
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(2);
+  Link second(&loop, "second", cfg, &sink);
+  Switch sw("sw", LbPolicy::kEcmp);
+  sw.AddRoute(TestFlow().dst_ip, &second);
+  Link first(&loop, "first", cfg, &sw);
+  constexpr int kFrames = 6;
+  for (int k = 0; k < kFrames; ++k) {
+    first.Accept(WirePacket(&f, static_cast<Seq>(k) * kMss));
+  }
+  loop.Run();
+  EXPECT_EQ(loop.executed_events(), static_cast<uint64_t>(2 * kFrames));
+  ASSERT_EQ(sink.packets.size(), static_cast<size_t>(kFrames));
+  // The first hop spaces the frames one serialization apart, so none queues
+  // at the second: frame k (from 1) leaves it at (k + 1) * ser + prop.
+  const TimeNs ser = SerializationTime(kMss + kPerPacketWireOverhead, cfg.rate_bps);
+  for (int k = 0; k < kFrames; ++k) {
+    EXPECT_EQ(sink.arrival_times[k], (k + 2) * ser + 2 * cfg.propagation_delay) << "frame " << k;
+  }
+}
+
+TEST(LinkTest, StrictPriorityHighWaitsForSerializingLowThenOvertakesQueue) {
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 1 * kGbps;
+  cfg.propagation_delay = Us(3);
+  cfg.num_priorities = 2;
+  Link link(&loop, "l", cfg, &sink);
+  for (Seq s = 0; s < 3; ++s) {
+    link.Accept(WirePacket(&f, s * kMss, kMss, Priority::kLow));
+  }
+  const TimeNs ser = SerializationTime(kMss + kPerPacketWireOverhead, cfg.rate_bps);
+  loop.RunUntil(ser / 2);  // the first low frame is serializing
+  link.Accept(WirePacket(&f, 100 * kMss, kMss, Priority::kHigh));
+  loop.Run();
+  ASSERT_EQ(sink.packets.size(), 4u);
+  const Seq order[] = {0, 100 * kMss, kMss, 2 * kMss};
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(sink.packets[k]->seq, order[k]) << "frame " << k;
+    EXPECT_EQ(sink.arrival_times[k], static_cast<TimeNs>(k + 1) * ser + cfg.propagation_delay)
+        << "frame " << k;
+  }
+}
+
+TEST(LinkTest, StatsReadStateAtNowBetweenCompletions) {
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink sink(&loop);
+  LinkConfig cfg;
+  cfg.rate_bps = 10 * kGbps;
+  cfg.propagation_delay = Us(100);  // no frame arrives inside the window
+  Link link(&loop, "l", cfg, &sink);
+  for (Seq s = 0; s < 5; ++s) {
+    link.Accept(WirePacket(&f, s * kMss));
+  }
+  const int64_t wire = kMss + kPerPacketWireOverhead;
+  const TimeNs ser = SerializationTime(wire, cfg.rate_bps);
+  loop.RunUntil(2 * ser + ser / 2);
+  // Two frames finished serializing by now, though no event has fired.
+  EXPECT_EQ(loop.executed_events(), 0u);
+  EXPECT_EQ(link.stats().packets_tx, 2u);
+  EXPECT_EQ(link.stats().bytes_tx, static_cast<uint64_t>(2 * wire));
+  EXPECT_EQ(link.queued_bytes(), 3 * wire);
+  EXPECT_EQ(link.stats().max_queue_bytes, 5 * wire);
+  loop.RunUntil(3 * ser);  // the third completes exactly now
+  EXPECT_EQ(link.stats().packets_tx, 3u);
+  EXPECT_EQ(link.queued_bytes(), 2 * wire);
 }
 
 TEST(LinkTest, ByteAccounting) {
@@ -301,6 +400,76 @@ TEST(SwitchTest, DefaultRouteUsesUplinks) {
   EXPECT_GT(up0.packets.size(), 0u);
   EXPECT_GT(up1.packets.size(), 0u);
   EXPECT_EQ(sw.dropped_no_route(), 0u);
+}
+
+TEST(SwitchTest, RoutesManyDestinations) {
+  // Enough routes to grow the table several times; every address still
+  // finds its own port, and an unknown one falls through to the uplink.
+  EventLoop loop;
+  PacketFactory f;
+  std::vector<std::unique_ptr<CollectorSink>> ports;
+  CollectorSink uplink(&loop);
+  Switch sw("sw", LbPolicy::kEcmp);
+  sw.AddUplink(&uplink);
+  constexpr uint32_t kHosts = 40;
+  auto ip = [](uint32_t h) { return (10u << 24) | ((h % 2) << 16) | (h / 2 + 1); };
+  for (uint32_t h = 0; h < kHosts; ++h) {
+    ports.push_back(std::make_unique<CollectorSink>(&loop));
+    sw.AddRoute(ip(h), ports.back().get());
+  }
+  for (uint32_t h = 0; h < kHosts; ++h) {
+    PacketPtr p = WirePacket(&f, h);
+    p->flow.dst_ip = ip(h);
+    sw.Accept(std::move(p));
+  }
+  PacketPtr stray = WirePacket(&f, 0);
+  stray->flow.dst_ip = ip(kHosts);
+  sw.Accept(std::move(stray));
+  for (uint32_t h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(ports[h]->packets.size(), 1u) << "host " << h;
+    EXPECT_EQ(ports[h]->packets[0]->seq, h);
+  }
+  EXPECT_EQ(uplink.packets.size(), 1u);
+  EXPECT_EQ(sw.forwarded(), kHosts + 1);
+}
+
+TEST(SwitchTest, NewFlowletTakesTheUplinkHoldingFewerBytesNow) {
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink far0(&loop);
+  CollectorSink far1(&loop);
+  LinkConfig fast;
+  fast.rate_bps = 10 * kGbps;
+  fast.propagation_delay = Ms(1);  // no arrival fires during the test
+  LinkConfig slow = fast;
+  slow.rate_bps = 1 * kGbps;
+  Link up0(&loop, "up0", fast, &far0);
+  Link up1(&loop, "up1", slow, &far1);
+  Switch sw("sw", LbPolicy::kFlowlet);
+  sw.AddUplink(&up0, &up0);
+  sw.AddUplink(&up1, &up1);
+  // up0 holds four frames and up1 one, so at t=0 a new flowlet takes up1.
+  for (Seq s = 0; s < 4; ++s) {
+    up0.Accept(WirePacket(&f, s * kMss));
+  }
+  up1.Accept(WirePacket(&f, 0));
+  auto flowlet = [&f](uint16_t port) {
+    PacketPtr p = WirePacket(&f, 0);
+    p->flow = TestFlow(port, 80);
+    p->flow.dst_ip = 99;  // no exact route
+    return p;
+  };
+  sw.Accept(flowlet(1));
+  EXPECT_EQ(up1.queued_bytes(), 2 * (kMss + kPerPacketWireOverhead));
+  // By 6us up0's four frames (1.27us each at 10 Gb/s) have all left while
+  // up1 (12.7us per frame) still holds two, with no event in between: the
+  // switch must read the drained state at now().
+  loop.RunUntil(Us(6));
+  EXPECT_EQ(loop.executed_events(), 0u);
+  EXPECT_EQ(up0.queued_bytes(), 0);
+  sw.Accept(flowlet(2));
+  EXPECT_EQ(up0.queued_bytes(), kMss + kPerPacketWireOverhead);
+  EXPECT_EQ(up1.queued_bytes(), 2 * (kMss + kPerPacketWireOverhead));
 }
 
 TEST(SwitchTest, NoRouteCountsDrop) {
