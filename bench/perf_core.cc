@@ -704,7 +704,7 @@ TcpScalePoint MeasureTcpAtConnCount(size_t connections, uint64_t total_lookups) 
   EventLoop loop;
   PacketFactory factory;
   NullSink sink;
-  NicTx nic(&loop, &factory, NicTxConfig{}, &sink);
+  NicTx nic(&loop, &factory, &sink);
   TcpConfig tcp;
 
   const std::vector<FiveTuple> tuples = MakeTuples(connections);

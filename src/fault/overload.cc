@@ -188,10 +188,7 @@ uint64_t OverloadAuditor::pool_exhausted() const {
 
 void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
   ++probes_;
-  // Main thread, engine quiescent: folding the remote ledgers here is both
-  // race-free and deterministic (every release up to `now` has completed).
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
+  for (const PacketPool* pool : wiring_.pools) {
     const int64_t outstanding = OutstandingOf(pool);
     if (outstanding > 0 && static_cast<uint64_t>(outstanding) > peak_outstanding_) {
       peak_outstanding_ = static_cast<uint64_t>(outstanding);
@@ -240,15 +237,12 @@ void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
 
 void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_complete,
                                  const OverloadStats& driver) {
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
-  }
   final_outstanding_ = Outstanding();
   final_exhausted_ = pool_exhausted();
 
   // Every refused allocation must surface in exactly one published drop
   // counter. The TryAcquire call sites are closed: NIC transmit (both
-  // hosts), fault duplication, and the overload injector.
+  // hosts), fault duplication, the overload injector, and crossing arrivals.
   uint64_t visible = driver.inject_alloc_drops;
   if (wiring_.sender_tx != nullptr) {
     visible += wiring_.sender_tx->pool_exhausted_drops;
@@ -258,6 +252,9 @@ void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_compl
   }
   if (wiring_.fault != nullptr) {
     visible += wiring_.fault->dup_pool_exhausted;
+  }
+  if (wiring_.crossing_drops) {
+    visible += wiring_.crossing_drops();
   }
   if (visible != final_exhausted_) {
     log_->Violation(name_, "pool refusals not fully metrics-visible: " +
@@ -320,12 +317,7 @@ void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_compl
   }
 }
 
-uint64_t OverloadAuditor::MeasureLeakedPackets() const {
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
-  }
-  return Outstanding();
-}
+uint64_t OverloadAuditor::MeasureLeakedPackets() const { return Outstanding(); }
 
 void OverloadAuditor::Publish(MetricsRegistry* registry) const {
   registry->MaxGauge("overload.peak_pool_outstanding", name_, peak_outstanding_);

@@ -17,15 +17,17 @@
 //
 // Hard overload policy everywhere: refuse + count, never abort. The refusal
 // points are exactly the TryAcquire callers — NicTx (data + ACK tail drops),
-// FaultStage duplication, and this driver's own injector — plus the NicRx
-// ring cap and the GRO flow caps, each with its own counter, so the
-// OverloadAuditor can check conservation: every refused allocation shows up
-// in exactly one published drop counter.
+// FaultStage duplication, this driver's own injector, and the sharded
+// engine's crossing arrivals — plus the NicRx ring cap and the GRO flow
+// caps, each with its own counter, so the OverloadAuditor can check
+// conservation: every refused allocation shows up in exactly one published
+// drop counter.
 //
 // Determinism: the driver runs on the receiver-side event loop with fixed
-// tuple/sequence schedules (no RNG), and pool occupancy is reconciled only at
-// deterministic points (see PacketPool::ReconcileRemoteReleases), so every
-// counter here — and therefore the chaos digest — is shard-count invariant.
+// tuple/sequence schedules (no RNG), and a domain pool's packets never leave
+// its domain, so pool occupancy moves only with that domain's own events.
+// Every counter here — and therefore the chaos digest — is shard-count
+// invariant.
 
 #ifndef JUGGLER_SRC_FAULT_OVERLOAD_H_
 #define JUGGLER_SRC_FAULT_OVERLOAD_H_
@@ -116,6 +118,10 @@ struct OverloadWiring {
     bool event_pending = false;
   };
   std::function<Progress()> progress;
+  // Crossing arrivals the engine shed because a capped domain pool refused
+  // them (ShardedEngineStats::crossing_drops), read at FinalCheck; null when
+  // the run has no engine.
+  std::function<uint64_t()> crossing_drops;
 };
 
 // Schedules the pressure windows and applies the capacity caps. Construct,

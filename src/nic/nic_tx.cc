@@ -37,7 +37,7 @@ void NicTx::SendBurst(const TsoBurst& burst) {
     p->priority = burst.marker != nullptr && *burst.marker ? (*burst.marker)() : Priority::kLow;
     ++stats_.packets;
     stats_.bytes += chunk;
-    Transmit(std::move(p));
+    wire_->Accept(std::move(p));
   }
 }
 
@@ -60,24 +60,7 @@ void NicTx::SendAck(const FiveTuple& flow, Seq seq, Seq ack_seq, uint32_t rwnd,
   p->priority = priority;
   p->sent_time = loop_->now();
   ++stats_.acks;
-  Transmit(std::move(p));
-}
-
-void NicTx::Transmit(PacketPtr packet) {
-  if (config_.rate_limit_bps <= 0) {
-    wire_->Accept(std::move(packet));
-    return;
-  }
-  const TimeNs now = loop_->now();
-  const TimeNs release = next_free_ > now ? next_free_ : now;
-  next_free_ = release + SerializationTime(packet->wire_bytes(), config_.rate_limit_bps);
-  if (release <= now) {
-    wire_->Accept(std::move(packet));
-    return;
-  }
-  PacketSink* wire = wire_;
-  loop_->ScheduleAt(release,
-                    [wire, p = std::move(packet)]() mutable { wire->Accept(std::move(p)); });
+  wire_->Accept(std::move(p));
 }
 
 void PublishNicTxStats(const NicTxStats& stats, const std::string& label,

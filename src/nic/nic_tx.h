@@ -1,5 +1,4 @@
-// Transmit-side NIC model: TSO segmentation, optional rate limiting, and
-// per-packet priority marking.
+// Transmit-side NIC model: TSO segmentation and per-packet priority marking.
 //
 // The transport hands the NIC whole TSO bursts (up to 64KB — the unit
 // Presto load-balances, and the unit whose on-wire time sets the
@@ -32,12 +31,6 @@ struct TsoBurst {
   const std::function<Priority()>* marker = nullptr;
 };
 
-struct NicTxConfig {
-  // Leaky-bucket cap on this NIC's transmit rate; 0 disables (the wire link
-  // still serializes at its own rate).
-  int64_t rate_limit_bps = 0;
-};
-
 struct NicTxStats {
   uint64_t bursts = 0;
   uint64_t packets = 0;
@@ -52,10 +45,11 @@ struct NicTxStats {
 
 class NicTx {
  public:
-  NicTx(EventLoop* loop, PacketFactory* factory, const NicTxConfig& config, PacketSink* wire)
-      : loop_(loop), factory_(factory), config_(config), wire_(wire) {}
+  NicTx(EventLoop* loop, PacketFactory* factory, PacketSink* wire)
+      : loop_(loop), factory_(factory), wire_(wire) {}
 
-  // Segment `burst` into MTU packets and transmit them back-to-back.
+  // Segment `burst` into MTU packets and hand them to the wire back-to-back
+  // (the wire link serializes them at its own rate).
   void SendBurst(const TsoBurst& burst);
 
   // Transmit one pure ACK (with optional SACK blocks and ECN echo).
@@ -67,13 +61,9 @@ class NicTx {
   PacketFactory* factory() { return factory_; }
 
  private:
-  void Transmit(PacketPtr packet);
-
   EventLoop* loop_;
   PacketFactory* factory_;
-  NicTxConfig config_;
   PacketSink* wire_;
-  TimeNs next_free_ = 0;  // leaky-bucket state
   uint64_t next_tso_id_ = 1;
   NicTxStats stats_;
 };

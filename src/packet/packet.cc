@@ -9,7 +9,7 @@ static_assert(kMss + kPerPacketWireOverhead > kMtuBytes,
 static_assert(std::is_trivially_copyable_v<Packet>,
               "Packet reset in PacketPool::Acquire relies on trivial copyability");
 static_assert(sizeof(Packet) == 128,
-              "simulation state plus pool bookkeeping must fill exactly two cache lines");
+              "simulation state plus pool bookkeeping must fit exactly two cache lines");
 
 constinit thread_local PacketPool* PacketPool::tls_pool_ = nullptr;
 
@@ -23,7 +23,6 @@ PacketPool& PacketPool::CreateForThread() {
 }
 
 PacketPool::~PacketPool() {
-  DrainRemote();  // storage parked on the return stack is ours to free
   for (Packet* p : free_) {
     delete p;
   }
@@ -33,7 +32,6 @@ PacketPool::~PacketPool() {
 }
 
 void PacketPool::Trim() {
-  DrainRemote();
   for (Packet* p : free_) {
     delete p;
   }
@@ -46,7 +44,6 @@ void PacketPool::MoveFreeStorageTo(PacketPool* to) {
   if (to == this) {
     return;
   }
-  DrainRemote();
   if (to->free_.empty()) {
     to->free_.swap(free_);
   } else {
@@ -56,18 +53,6 @@ void PacketPool::MoveFreeStorageTo(PacketPool* to) {
   if (to->free_.size() >= to->compact_watermark_) {
     to->CompactFreeList();
   }
-}
-
-void PacketPool::ReleaseRemote(Packet* p) noexcept {
-  Packet* head = remote_free_.load(std::memory_order_relaxed);
-  do {
-    p->pool_next = head;
-  } while (!remote_free_.compare_exchange_weak(head, p, std::memory_order_release,
-                                               std::memory_order_relaxed));
-  // Ledger half of the release. The owner folds this in only at its next
-  // reconcile point, so occupancy stays deterministic even though the push
-  // above races freely with the owner's drain.
-  remote_released_.fetch_add(1, std::memory_order_release);
 }
 
 void PacketPool::CompactFreeList() noexcept {

@@ -18,7 +18,6 @@
 #ifndef JUGGLER_SRC_PACKET_PACKET_H_
 #define JUGGLER_SRC_PACKET_PACKET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -103,9 +102,9 @@ struct SackBlocks {
 
 class PacketPool;
 
-// Cache-line aligned: at 112 bytes of simulation state plus two pool-
-// management pointers a Packet fills exactly two lines, so the recycle-reset
-// and per-field writes never straddle a third line.
+// Cache-line aligned: 112 bytes of simulation state plus the pool-origin
+// pointer fit exactly two lines, so the recycle-reset and per-field writes
+// never straddle a third line.
 struct alignas(64) Packet {
   uint64_t id = 0;  // globally unique, for tracing
   FiveTuple flow;
@@ -138,13 +137,11 @@ struct alignas(64) Packet {
   TimeNs sent_time = 0;    // left the sender's TCP
   TimeNs nic_rx_time = 0;  // arrived at the receiving NIC ring
 
-  // Pool management, not simulation state: the pool whose storage this is
-  // (releases route back to it from any thread), and the intrusive link used
-  // while the storage sits on that pool's cross-thread return stack. Both
-  // are maintained by PacketPool/ClonePacket; simulation code must treat
-  // them as opaque.
+  // Pool management, not simulation state: the stamping pool whose storage
+  // this is (releases route back to it, whichever pool is ambient), or null.
+  // Maintained by PacketPool/ClonePacket; simulation code must treat it as
+  // opaque.
   PacketPool* pool_origin = nullptr;
-  Packet* pool_next = nullptr;
 
   bool is_pure_ack() const { return payload_len == 0 && (flags & kFlagAck) != 0; }
   Seq end_seq() const { return seq + payload_len; }
@@ -165,28 +162,27 @@ using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 // Packet`, individually owned, so the freelist may also absorb packets that
 // were constructed outside the pool.
 //
-// Threading: by default every thread has its own pool (ThreadLocal) and
-// packets recycle through whichever pool is ambient on the releasing thread
-// — the pre-sharding behavior, safe across thread teardown because such
-// packets carry no origin pointer. A pool constructed with
-// CrossThreadReturnTag (the sharded engine owns one per shard domain)
-// additionally stamps every packet it hands out with its own address:
-// releases on the owning worker take the same lock-free fast path, while a
-// release on any *other* thread — sharded scenarios hand packets between
-// workers through mailboxes — pushes onto the origin's MPSC return stack (a
-// Treiber stack threaded through Packet::pool_next), which the origin drains
-// wholesale when its local freelist runs dry. So cross-shard traffic still
-// recycles instead of leaking allocations out of one pool and piling them up
-// in another. Lifetime contract for stamped pools only: the pool must
-// outlive every packet it allocated; the engine guarantees this by shutting
-// down all event loops (freeing in-flight packets) before any pool dies.
+// Threading: a pool is never synchronized; only one thread touches it at a
+// time. By default every thread has its own pool (ThreadLocal) and packets
+// recycle through whichever pool is ambient on the releasing thread — safe
+// across thread teardown because such packets carry no origin pointer. A
+// pool constructed with OriginStampTag (the sharded engine owns one per
+// shard domain) additionally stamps every packet it hands out with its own
+// address, and a stamped packet always returns to that pool. A stamped
+// packet never leaves its pool's domain — a shard crossing carries a copy
+// of the packet, not the packet — so its release runs on the worker that
+// runs the domain, or on the main thread at teardown, when no worker runs;
+// the stamp is what returns a domain's packets to the domain's own pool
+// there. Lifetime contract for stamped pools only: the pool must outlive
+// every packet it allocated; the engine guarantees this by shutting down all
+// event loops (freeing in-flight packets) before any pool dies.
 class PacketPool {
  public:
-  // Tag selecting cross-thread-return stamping (see class comment).
-  struct CrossThreadReturnTag {};
+  // Tag selecting origin stamping (see class comment).
+  struct OriginStampTag {};
 
   PacketPool() = default;
-  explicit PacketPool(CrossThreadReturnTag) : origin_stamp_(this) {}
+  explicit PacketPool(OriginStampTag) : origin_stamp_(this) {}
   // The thread's pool. The cached pointer is trivially-initialized TLS, so
   // the hot path is one thread-relative load — no init-guard check, no call
   // into the TU that owns the pool (this accessor runs twice per simulated
@@ -202,9 +198,7 @@ class PacketPool {
   // Deleter entry point. Unstamped packets (the common, non-sharded case)
   // recycle through whichever pool is ambient on the releasing thread, or
   // are freed outright when that pool is already gone (releases during
-  // thread teardown). Stamped packets go back to their origin: the lock-free
-  // local path when the origin is ambient here, the cross-thread return
-  // stack otherwise.
+  // thread teardown). Stamped packets go back to their origin.
   static void ReleaseToThreadPool(Packet* p) noexcept {
     PacketPool* origin = p->pool_origin;
     if (origin == nullptr) [[likely]] {
@@ -214,10 +208,8 @@ class PacketPool {
       } else {
         delete p;
       }
-    } else if (origin == tls_pool_) {
-      origin->Release(p);
     } else {
-      origin->ReleaseRemote(p);
+      origin->Release(p);
     }
   }
 
@@ -240,11 +232,6 @@ class PacketPool {
   // drop counter; infallible Acquire stays available for paths that must not
   // fail. A cap of 0 (the default) means unbounded, so uncapped pools behave
   // byte-for-byte as before.
-  //
-  // The occupancy test uses outstanding(), which deliberately counts remote
-  // (cross-shard) releases only up to the last ReconcileRemoteReleases()
-  // snapshot — see that method for why. The transient overcount only makes
-  // the cap conservative, never violated.
   Packet* TryAcquire() {
     if (capacity_ != 0 && outstanding() >= capacity_) [[unlikely]] {
       ++exhausted_;
@@ -259,13 +246,10 @@ class PacketPool {
   Packet* Acquire() {
     ++acquired_;
     if (free_.empty()) {
-      DrainRemote();
-      if (free_.empty()) {
-        ++fresh_;
-        Packet* p = new Packet;
-        p->pool_origin = origin_stamp_;
-        return p;
-      }
+      ++fresh_;
+      Packet* p = new Packet;
+      p->pool_origin = origin_stamp_;
+      return p;
     }
     Packet* p = free_.back();
     free_.pop_back();
@@ -283,22 +267,22 @@ class PacketPool {
     return p;
   }
 
-  // Local-origin release: the inlined fast path on every packet free. One
-  // freelist push plus one compare against the compaction watermark; the
-  // compaction itself (and the cross-thread Treiber path below) stays
+  // The inlined fast path on every packet free. One freelist push plus one
+  // compare against the compaction watermark; the compaction itself stays
   // out-of-line so this inlines to a handful of instructions at call sites.
   void Release(Packet* p) noexcept {
-    ++released_local_;
+    ++released_;
     free_.push_back(p);
     if (free_.size() >= compact_watermark_) [[unlikely]] {
       CompactFreeList();
     }
   }
 
-  // Batch release for a folded run: one thread-local pool load and one
-  // watermark check hoisted out of the loop, instead of per packet. Consumes
-  // (nulls) every non-null PacketPtr in [ptrs, ptrs + n); null entries are
-  // skipped, so callers may hand over a partially consumed batch.
+  // Batch release for a folded run: for unstamped packets, one thread-local
+  // pool load and one watermark check hoisted out of the loop, instead of
+  // per packet; stamped packets go back to their origin. Consumes (nulls)
+  // every non-null PacketPtr in [ptrs, ptrs + n); null entries are skipped,
+  // so callers may hand over a partially consumed batch.
   static void ReleaseBatch(PacketPtr* ptrs, size_t n) noexcept {
     PacketPool* pool = tls_pool_;
     for (size_t i = 0; i < n; ++i) {
@@ -309,16 +293,13 @@ class PacketPool {
       PacketPool* origin = p->pool_origin;
       if (origin == nullptr) [[likely]] {
         if (pool != nullptr) [[likely]] {
-          ++pool->released_local_;
+          ++pool->released_;
           pool->free_.push_back(p);
         } else {
           delete p;
         }
-      } else if (origin == pool) {
-        ++pool->released_local_;
-        pool->free_.push_back(p);
       } else {
-        origin->ReleaseRemote(p);
+        origin->Release(p);
       }
     }
     if (pool != nullptr && pool->free_.size() >= pool->compact_watermark_) [[unlikely]] {
@@ -326,65 +307,45 @@ class PacketPool {
     }
   }
 
-  // Cross-thread release: push onto the origin pool's lock-free return stack
-  // (Treiber MPSC — many releasing threads, one draining owner). The CAS
-  // releases the packet's contents to the owner's acquire in DrainRemote.
-  // Out-of-line: the cross-shard path is cold next to local recycling, and
-  // keeping it out keeps the inlined Release small.
-  void ReleaseRemote(Packet* p) noexcept;
-
   // Frees the freelist's storage (keeps stats). Outstanding packets are
   // unaffected; they re-enter the (now empty) freelist when released.
   void Trim();
 
-  // Hands this pool's idle storage (freelist and return stack) to `to`,
-  // which compacts it to its watermark. Storage carries no ledger state:
-  // the next Acquire re-stamps the origin. A one-domain ShardedEngine
-  // borrows the calling thread's storage this way, so an engine per run
-  // recycles packets like one long-lived pool instead of reallocating them.
+  // Hands this pool's idle storage (its freelist) to `to`, which compacts it
+  // to its watermark. Storage carries no ledger state: the next Acquire
+  // re-stamps the origin. A one-domain ShardedEngine borrows the calling
+  // thread's storage this way, so an engine per run recycles packets like
+  // one long-lived pool instead of reallocating them.
   void MoveFreeStorageTo(PacketPool* to);
 
   // --- Bounded-resource operation (overload resilience) ---------------------
   //
   // Occupancy is tracked as (acquired - released), never by freelist size:
-  // the freelist holds *storage*, occupancy is about *live packets*. The
-  // remote-release half of the ledger is a plain atomic counter bumped by
-  // ReleaseRemote, but it is folded into the occupancy view only at
-  // ReconcileRemoteReleases() — called at points that are deterministic in
-  // simulation structure (the sharded engine's post-barrier inject phase,
-  // or a quiescent main-thread probe), never at wall-clock-dependent moments
-  // like DrainRemote. That keeps outstanding(), and therefore every
-  // TryAcquire verdict and drop counter derived from it, identical for any
-  // worker count — the property the overload digests rely on.
+  // the freelist holds *storage*, occupancy is about *live packets*. A
+  // domain pool's packets never leave its domain, so both halves of the
+  // ledger move only with the domain's own events, and outstanding() — and
+  // therefore every TryAcquire verdict and drop counter derived from it — is
+  // identical for any worker count, the property the overload digests rely
+  // on.
 
   // Hard cap on live packets from this pool; 0 = unbounded (default).
   void set_capacity(size_t capacity) noexcept { capacity_ = capacity; }
   size_t capacity() const { return capacity_; }
 
-  // Folds remote (cross-thread) releases into the occupancy view. Owner
-  // thread only, and only when every release that should be visible has a
-  // happens-before edge to the caller (barrier or quiescence).
-  void ReconcileRemoteReleases() noexcept {
-    remote_released_seen_ = remote_released_.load(std::memory_order_acquire);
-  }
-
-  // Live packets as of the last reconcile: acquired minus released. May
-  // transiently overcount by releases still unseen on the remote stack.
-  // Computed signed and clamped at zero: a packet acquired from one pool but
-  // released into this pool's ledger (an unstamped allocation freed on a
-  // thread whose ambient pool is this one) makes released exceed acquired,
-  // and an unsigned wrap would read as "infinitely full" — turning a small
-  // bookkeeping skew into a permanent allocation refusal.
+  // Live packets: acquired minus released. Computed signed and clamped at
+  // zero: a packet acquired from one pool but released into this pool's
+  // ledger (an unstamped allocation freed on a thread whose ambient pool is
+  // this one) makes released exceed acquired, and an unsigned wrap would
+  // read as "infinitely full" — turning a small bookkeeping skew into a
+  // permanent allocation refusal.
   uint64_t outstanding() const {
-    const int64_t live = static_cast<int64_t>(acquired_) -
-                         static_cast<int64_t>(released_local_) -
-                         static_cast<int64_t>(remote_released_seen_);
+    const int64_t live = static_cast<int64_t>(acquired_) - static_cast<int64_t>(released_);
     return live > 0 ? static_cast<uint64_t>(live) : 0;
   }
 
   // TryAcquire refusals (the pool's contribution to tail-drop counters).
   uint64_t exhausted() const { return exhausted_; }
-  uint64_t released() const { return released_local_ + remote_released_seen_; }
+  uint64_t released() const { return released_; }
 
   uint64_t acquired() const { return acquired_; }
   // Acquisitions served from the freelist rather than the allocator.
@@ -398,18 +359,6 @@ class PacketPool {
  private:
   // Cold path: constructs the calling thread's pool and caches its address.
   static PacketPool& CreateForThread();
-
-  // Claims the whole cross-thread return stack in one exchange and moves it
-  // onto the local freelist. Cold: runs only when the freelist is empty.
-  void DrainRemote() {
-    Packet* p = remote_free_.exchange(nullptr, std::memory_order_acquire);
-    while (p != nullptr) {
-      Packet* next = p->pool_next;
-      p->pool_next = nullptr;
-      free_.push_back(p);
-      p = next;
-    }
-  }
 
   // Watermark compaction (cold; see Release). When the freelist reaches the
   // watermark, measure the demand since the last decision (acquisitions
@@ -428,18 +377,15 @@ class PacketPool {
   static constinit thread_local PacketPool* tls_pool_;
 
   std::vector<Packet*> free_;
-  std::atomic<Packet*> remote_free_{nullptr};  // cross-thread return stack
   // What Acquire writes into Packet::pool_origin: `this` for engine-owned
-  // (CrossThreadReturnTag) pools, null for thread-ambient ones.
+  // (OriginStampTag) pools, null for thread-ambient ones.
   PacketPool* const origin_stamp_ = nullptr;
   uint64_t acquired_ = 0;
   uint64_t fresh_ = 0;  // acquisitions that had to hit the allocator
   // Overload-resilience ledger (see the block comment above set_capacity).
-  size_t capacity_ = 0;            // 0 = unbounded
-  uint64_t released_local_ = 0;    // owner-thread releases
-  uint64_t remote_released_seen_ = 0;  // remote releases folded at reconcile
-  uint64_t exhausted_ = 0;             // TryAcquire refusals at the cap
-  std::atomic<uint64_t> remote_released_{0};
+  size_t capacity_ = 0;     // 0 = unbounded
+  uint64_t released_ = 0;
+  uint64_t exhausted_ = 0;  // TryAcquire refusals at the cap
   size_t compact_watermark_ = kCompactFloor;
   uint64_t compact_last_acquired_ = 0;
   uint64_t compact_freed_ = 0;
@@ -460,7 +406,6 @@ inline PacketPtr ClonePacket(const Packet& src) {
   PacketPool* origin = p->pool_origin;
   *p = src;
   p->pool_origin = origin;
-  p->pool_next = nullptr;
   return p;
 }
 
@@ -476,7 +421,6 @@ inline PacketPtr TryClonePacket(const Packet& src) {
   PacketPool* origin = p->pool_origin;
   *p = src;
   p->pool_origin = origin;
-  p->pool_next = nullptr;
   return p;
 }
 

@@ -397,6 +397,7 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
       }
       return p;
     };
+    w.crossing_drops = [eng = &engine] { return eng->stats().crossing_drops; };
     ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
     ovl->Start();
     ovl_audit =

@@ -16,7 +16,7 @@ Host::Host(EventLoop* loop, PacketFactory* factory, const CpuCostModel* costs,
         std::make_unique<CpuCore>(loop, config_.name + "/app" + std::to_string(i)));
   }
   pending_per_core_.resize(config_.num_app_cores, 0);
-  nic_tx_ = std::make_unique<NicTx>(loop, factory, config_.tx, wire_out);
+  nic_tx_ = std::make_unique<NicTx>(loop, factory, wire_out);
   nic_rx_ = MakeRxDriver(loop, costs, config_.rx, config_.gro_factory, this);
 }
 

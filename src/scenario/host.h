@@ -29,7 +29,6 @@ namespace juggler {
 struct HostConfig {
   uint32_t ip = 0;
   NicRxConfig rx;
-  NicTxConfig tx;
   TcpConfig tcp;
   RxDriver::GroFactory gro_factory;
   // Application cores. Flows are pinned to cores by hash (as a real host

@@ -9,6 +9,12 @@
 // no atomics — the synchronization lives in the barrier, which is what makes
 // the whole handoff TSan-clean and cheap (a plain vector push per crossing).
 //
+// A crossing carries a copy of the packet, never the packet: the source
+// frees its packet into its own domain's pool at the crossing, and the
+// destination takes storage for the arrival from its own pool when it
+// injects the envelope. Packet storage therefore never changes domain, and
+// no pool is ever touched by two threads.
+//
 // A RemoteEndpoint is the sink a link whose far end runs in another domain
 // delivers into: it stamps each packet with its absolute arrival time —
 // source-domain now plus the wire's propagation delay, which the crossing
@@ -22,7 +28,6 @@
 #define JUGGLER_SRC_SIM_SHARD_MAILBOX_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/net/packet_sink.h"
@@ -32,10 +37,11 @@
 
 namespace juggler {
 
-// One packet crossing shard domains: the packet, when it arrives in the
-// destination domain's clock, and which sink there receives it.
+// One packet crossing shard domains: a copy of the packet (plain data, its
+// pool stamp included, which the destination overwrites), when it arrives
+// in the destination domain's clock, and which sink there receives it.
 struct ShardEnvelope {
-  PacketPtr packet;
+  Packet packet;
   TimeNs arrival = 0;
   PacketSink* sink = nullptr;
 };
@@ -53,9 +59,10 @@ struct ShardEnvelope {
 // --shards` prints them.
 class ShardMailbox {
  public:
-  // ~24MB of envelopes per pair at the fuse point; a healthy NetFPGA window
-  // crosses a few hundred.
-  static constexpr size_t kDefaultCapacity = 1u << 20;
+  // ~24MB of 192-byte envelopes per pair at the fuse point; the deepest
+  // healthy window measured buffered 9 (chaos_runner --shards 2) and 7 (the
+  // 32-host Clos bulk run).
+  static constexpr size_t kDefaultCapacity = 1u << 17;
 
   // `capacity` == 0 restores the default. Safe to call between windows; the
   // engine applies it from the construction thread before Run().
@@ -64,14 +71,14 @@ class ShardMailbox {
   }
   size_t capacity() const { return capacity_; }
 
-  void Push(PacketPtr packet, TimeNs arrival, PacketSink* sink) {
+  void Push(const Packet& packet, TimeNs arrival, PacketSink* sink) {
     if (buffer_.size() >= capacity_) {
-      // Dropping the PacketPtr recycles the packet like any other wire
-      // loss; the producer keeps running and the counter tells the story.
+      // Shed like any other wire loss; the producer keeps running and the
+      // counter tells the story.
       ++overflow_drops_;
       return;
     }
-    buffer_.push_back(ShardEnvelope{std::move(packet), arrival, sink});
+    buffer_.emplace_back(packet, arrival, sink);
     if (buffer_.size() > high_watermark_) {
       high_watermark_ = buffer_.size();
     }
@@ -118,10 +125,11 @@ class RemoteEndpoint : public PacketSink {
 
   TimeNs latency() const { return latency_; }
 
-  // Enqueue `packet` to arrive at src-now + latency.
+  // Enqueue a copy of `packet` to arrive at src-now + latency. The packet
+  // itself is freed here, on the source domain's worker, into its pool.
   void Accept(PacketPtr packet) override {
     JUG_CHECK(sink_ != nullptr);
-    mailbox_->Push(std::move(packet), *src_now_ + latency_, sink_);
+    mailbox_->Push(*packet, *src_now_ + latency_, sink_);
   }
 
  private:

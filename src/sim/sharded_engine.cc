@@ -110,22 +110,13 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::ReleaseResidualPackets() {
-  // Free packets parked in mailboxes, then packets riding timers in any
-  // loop, before the domain pools (where all that storage returns) die.
-  // Releases from a loop Shutdown land on the owning pool directly (this is
-  // the owning thread), or on a sibling pool's remote stack when the packet
-  // crossed domains — so reconcile every pool's ledger afterwards, on this
-  // one thread, once all releases have happened.
-  for (auto& mailbox : mailboxes_) {
-    mailbox->Clear();
-  }
+  // Free packets riding timers in any loop before the domain pools (where
+  // all that storage returns) die. Mailboxes hold copies, never storage, and
+  // every Run() ends with them drained.
   for (auto& domain : domains_) {
     PacketPool* prev = PacketPool::SwapThreadPool(&domain->pool_);
     domain->loop_.Shutdown();
     PacketPool::SwapThreadPool(prev);
-  }
-  for (auto& domain : domains_) {
-    domain->pool_.ReconcileRemoteReleases();
   }
 }
 
@@ -215,29 +206,33 @@ TimeNs ShardedEngine::InjectOwnedDomains(size_t worker, size_t num_workers) {
   TimeNs next_event = EventLoop::kNoEvent;
   for (size_t i = worker; i < domains_.size(); i += num_workers) {
     ShardDomain* domain = domains_[i].get();
-    // Deterministic reconcile point for the pool's remote-release ledger:
-    // the barrier before this phase orders every ReleaseRemote performed
-    // during the window behind this fold, and which releases those are is a
-    // property of the window schedule, not of worker interleaving. Occupancy
-    // (and so every capacity verdict next window) is identical for any
-    // worker count.
-    domain->pool_.ReconcileRemoteReleases();
     EventLoop& loop = domain->loop_;
+    // Each arrival takes storage from this domain's pool: it is resident
+    // here now, so it counts against this pool's cap. The pool's state is a
+    // function of this domain's events alone, so every verdict is identical
+    // for any worker count.
+    PacketPool* prev = PacketPool::SwapThreadPool(&domain->pool_);
     for (ShardMailbox* mailbox : domain->inbound_) {
-      for (ShardEnvelope& env : mailbox->buffer()) {
+      for (const ShardEnvelope& env : mailbox->buffer()) {
         // The conservative invariant: nothing emitted inside a window may
         // arrive before the window's end. An arrival exactly at the horizon
         // is legal — it executes in the next window (loop now() == end, and
         // ScheduleAt accepts when == now).
         JUG_CHECK(env.arrival >= window_end_);
         ++domain->injected_;
-        loop.ScheduleAt(env.arrival,
-                        [sink = env.sink, p = std::move(env.packet)]() mutable {
-                          sink->Accept(std::move(p));
-                        });
+        PacketPtr packet = TryClonePacket(env.packet);
+        if (packet == nullptr) {
+          // The pool is at its cap: shed like wire loss, which TCP recovers.
+          ++domain->crossing_drops_;
+          continue;
+        }
+        loop.ScheduleAt(env.arrival, [sink = env.sink, p = std::move(packet)]() mutable {
+          sink->Accept(std::move(p));
+        });
       }
       mailbox->Clear();
     }
+    PacketPool::SwapThreadPool(prev);
     if (!final_round_pending_) {
       next_event = std::min(next_event, loop.next_event_time());
     }
@@ -309,8 +304,10 @@ void ShardedEngine::Run(TimeNs deadline) {
     }
   }
   stats_.crossings = 0;
+  stats_.crossing_drops = 0;
   for (auto& domain : domains_) {
     stats_.crossings += domain->injected_;
+    stats_.crossing_drops += domain->crossing_drops_;
   }
   stats_.mailbox_high_watermark = 0;
   stats_.mailbox_overflow_drops = 0;
@@ -329,6 +326,7 @@ void PublishShardedEngineStats(ShardedEngine* engine, MetricsRegistry* registry)
   const ShardedEngineStats& stats = engine->stats();
   registry->AddCounter("sim.windows", "", stats.windows);
   registry->AddCounter("sim.crossings", "", stats.crossings);
+  registry->AddCounter("sim.crossing_drops", "", stats.crossing_drops);
   registry->SetGauge("sim.lookahead_ns", "", static_cast<uint64_t>(stats.lookahead));
   registry->MaxGauge("sim.mailbox_high_watermark", "", stats.mailbox_high_watermark);
   registry->AddCounter("sim.mailbox_overflow_drops", "", stats.mailbox_overflow_drops);

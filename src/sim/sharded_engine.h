@@ -15,8 +15,9 @@
 //      local time t >= m crosses the wire no earlier than t + L >= m + L.
 //   3. Barrier. Each domain drains its inbound mailboxes and schedules the
 //      arrivals (all >= window_end by the argument above — checked) into its
-//      own loop, then reports its next event time. Barrier; its completion
-//      step takes the minimum of those times as the next m. Repeat.
+//      own loop, each in storage from its own pool, then reports its next
+//      event time. Barrier; its completion step takes the minimum of those
+//      times as the next m. Repeat.
 //
 // Determinism is by construction, not by tie-breaking heuristics: the domain
 // graph, the window sequence (a function of global event times and L only)
@@ -33,26 +34,30 @@
 // worker loop, with two barrier crossings per window:
 //
 //   run the owned domains to window_end -> barrier -> per owned domain,
-//   reconcile its pool, inject its mailboxes and note its next event time
-//   -> barrier, whose completion step (run by the last worker to arrive)
-//   takes the minimum of those times and sizes the next window.
+//   inject its mailboxes and note its next event time -> barrier, whose
+//   completion step (run by the last worker to arrive) takes the minimum of
+//   those times and sizes the next window.
 //
 // All cross-thread data (mailboxes, the per-worker next-event slots, the
 // window parameters) is touched only on the correct side of a barrier, so
 // the engine needs no locks and runs TSan-clean. The barrier spins briefly,
-// then parks; with one worker it is a plain call. While a worker executes a
-// domain, that domain's pool is made thread-ambient
-// (PacketPool::SwapThreadPool), so allocations stamp the domain pool and
-// cross-shard releases recycle back to it through the return stack. An
-// exception thrown by a domain's events stops the run at the end of that
-// window on every worker; Run() then rethrows the exception of the
-// lowest-indexed domain that threw, whatever W is.
+// then parks; with one worker it is a plain call. While a worker executes or
+// injects a domain, that domain's pool is made thread-ambient
+// (PacketPool::SwapThreadPool), so allocations stamp the domain pool. A
+// crossing carries a copy of the packet (see ShardMailbox): the source frees
+// its packet into its own pool, and the destination injects the arrival in
+// storage from its own pool, so a packet never leaves the domain that
+// allocated it and each pool is touched by one worker at a time. A capped
+// destination pool can refuse an arrival; it is shed like wire loss and
+// counted (crossing_drops). An exception thrown by a domain's events stops
+// the run at the end of that window on every worker; Run() then rethrows the
+// exception of the lowest-indexed domain that threw, whatever W is.
 //
-// Teardown: ~ShardedEngine frees mailbox contents, then Shutdown()s every
-// loop (freeing packets riding timers), and only then lets the domain pools
-// die — satisfying the stamped-pool lifetime contract even for packets that
-// crossed domains. A one-domain engine borrows the constructing thread's
-// idle packet storage for its pool and hands it back at teardown.
+// Teardown: ~ShardedEngine Shutdown()s every loop (freeing packets riding
+// timers, each into its own domain's pool), and only then lets the domain
+// pools die — satisfying the stamped-pool lifetime contract. A one-domain
+// engine borrows the constructing thread's idle packet storage for its pool
+// and hands it back at teardown.
 
 #ifndef JUGGLER_SRC_SIM_SHARDED_ENGINE_H_
 #define JUGGLER_SRC_SIM_SHARDED_ENGINE_H_
@@ -71,10 +76,10 @@
 
 namespace juggler {
 
-// One partition of the scenario: a private event loop, packet pool (stamped
-// for cross-thread return) and id-assigning factory. Components of this
-// domain are constructed against loop()/factory() exactly as they would be
-// against a scenario-wide loop.
+// One partition of the scenario: a private event loop, packet pool (which
+// stamps its packets, so they return to it) and id-assigning factory.
+// Components of this domain are constructed against loop()/factory()
+// exactly as they would be against a scenario-wide loop.
 class ShardDomain {
  public:
   explicit ShardDomain(std::string name) : name_(std::move(name)) {}
@@ -91,16 +96,20 @@ class ShardDomain {
   std::string name_;
   // Pool declared before the loop: the loop (which may still reference pool
   // storage until Shutdown) is destroyed first.
-  PacketPool pool_{PacketPool::CrossThreadReturnTag{}};
+  PacketPool pool_{PacketPool::OriginStampTag{}};
   EventLoop loop_;
   PacketFactory factory_;
   std::vector<ShardMailbox*> inbound_;  // registration order = tie-break order
   uint64_t injected_ = 0;               // packets received from other domains
+  uint64_t crossing_drops_ = 0;         // of those, refused by pool_'s cap
 };
 
 struct ShardedEngineStats {
   uint64_t windows = 0;          // lookahead rounds executed
   uint64_t crossings = 0;        // packets handed between domains
+  // Crossing arrivals shed because the destination domain's pool sat at its
+  // capacity cap (only capped pools refuse); counted in crossings too.
+  uint64_t crossing_drops = 0;
   size_t workers = 0;            // actual worker threads used by last Run()
   TimeNs lookahead = 0;          // 0 when no cross-domain links exist
   // Mailbox pressure across all (src, dst) pairs: the deepest any one
@@ -142,8 +151,7 @@ class ShardedEngine {
   // rethrows the exception of the lowest-indexed domain that threw.
   void Run(TimeNs deadline);
 
-  // Frees every packet still parked in mailboxes or riding loop timers, and
-  // reconciles each pool's remote-release ledger — the destructor's teardown
+  // Frees every packet still riding loop timers — the destructor's teardown
   // sequence, exposed so overload audits can measure pool occupancy *after*
   // all in-flight storage has drained (a nonzero remainder is a true leak).
   // Idempotent; the engine must not be Run() again afterwards.
@@ -161,8 +169,8 @@ class ShardedEngine {
   // Runs the domains `worker` owns (index mod num_workers) to window_end_.
   // A throwing domain ends the pass: returns its exception and index.
   std::exception_ptr RunOwnedDomains(size_t worker, size_t num_workers, size_t* failed_domain);
-  // Reconciles and injects the domains `worker` owns; returns their earliest
-  // pending event time (kNoEvent once the deadline window has run).
+  // Injects the domains `worker` owns; returns their earliest pending event
+  // time (kNoEvent once the deadline window has run).
   TimeNs InjectOwnedDomains(size_t worker, size_t num_workers);
 
   static constexpr TimeNs kNoLookahead = INT64_MAX;
@@ -185,7 +193,8 @@ class ShardedEngine {
 };
 
 // Snapshot the engine's worker-invariant stats into `registry`: windows,
-// crossings, lookahead, mailbox pressure, per-domain executed-event counts.
+// crossings and their drops, lookahead, mailbox pressure, per-domain
+// executed-event counts.
 // Deliberately excludes `workers` and `barrier_wait_ns` — those depend on
 // the worker count / wall clock, and published metrics must stay
 // byte-identical across --shards=N.

@@ -182,7 +182,7 @@ TEST(SrptTest, MarksHighWhenNearCompletion) {
   class NullWire : public PacketSink {
     void Accept(PacketPtr) override {}
   } wire;
-  NicTx nic(&loop, &f, NicTxConfig{}, &wire);
+  NicTx nic(&loop, &f, &wire);
   TcpConfig cfg;
   TcpEndpoint conn(&loop, cfg, TestFlow(), &nic);
   SrptPrioritizer srpt(&conn, 100'000);

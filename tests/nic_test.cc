@@ -472,7 +472,7 @@ TEST(NicTxTest, SegmentsBurstIntoMtus) {
   EventLoop loop;
   PacketFactory f;
   PacketCollector wire;
-  NicTx tx(&loop, &f, NicTxConfig{}, &wire);
+  NicTx tx(&loop, &f, &wire);
   TsoBurst burst;
   burst.flow = TestFlow();
   burst.seq = 1000;
@@ -494,7 +494,7 @@ TEST(NicTxTest, DistinctBurstsGetDistinctTsoIds) {
   EventLoop loop;
   PacketFactory f;
   PacketCollector wire;
-  NicTx tx(&loop, &f, NicTxConfig{}, &wire);
+  NicTx tx(&loop, &f, &wire);
   TsoBurst burst;
   burst.flow = TestFlow();
   burst.len = kMss;
@@ -508,7 +508,7 @@ TEST(NicTxTest, MarkerSetsPerPacketPriority) {
   EventLoop loop;
   PacketFactory f;
   PacketCollector wire;
-  NicTx tx(&loop, &f, NicTxConfig{}, &wire);
+  NicTx tx(&loop, &f, &wire);
   int calls = 0;
   std::function<Priority()> marker = [&calls] {
     return (calls++ % 2 == 0) ? Priority::kHigh : Priority::kLow;
@@ -524,29 +524,11 @@ TEST(NicTxTest, MarkerSetsPerPacketPriority) {
   EXPECT_EQ(calls, 4);
 }
 
-TEST(NicTxTest, RateLimiterSpacesPackets) {
-  EventLoop loop;
-  PacketFactory f;
-  PacketCollector wire;
-  NicTxConfig cfg;
-  cfg.rate_limit_bps = 1 * kGbps;
-  NicTx tx(&loop, &f, cfg, &wire);
-  TsoBurst burst;
-  burst.flow = TestFlow();
-  burst.len = 10 * kMss;
-  tx.SendBurst(burst);
-  EXPECT_EQ(wire.packets.size(), 1u);  // only the first goes out now
-  loop.Run();
-  EXPECT_EQ(wire.packets.size(), 10u);
-  // 10 wire packets at 1Gb/s: ~ (1448+90)*8*10 ns total.
-  EXPECT_GE(loop.now(), SerializationTime(9 * (kMss + kPerPacketWireOverhead), cfg.rate_limit_bps));
-}
-
 TEST(NicTxTest, SendAckIsPureAck) {
   EventLoop loop;
   PacketFactory f;
   PacketCollector wire;
-  NicTx tx(&loop, &f, NicTxConfig{}, &wire);
+  NicTx tx(&loop, &f, &wire);
   tx.SendAck(TestFlow(), 100, 5000, 1 << 20, Priority::kHigh);
   ASSERT_EQ(wire.packets.size(), 1u);
   EXPECT_TRUE(wire.packets[0]->is_pure_ack());

@@ -128,8 +128,9 @@ TEST(OverloadChaosTest, DigestIsReproducibleAndSensitive) {
 // and flags any shed packet that went unaccounted.
 
 TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
-  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*shards=*/1,
-                                               /*pool_cap=*/96);
+  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*shards=*/1,
+                                         /*pool_cap=*/96);
+  opt.obs.metrics = true;
   const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violations, 0u) << (r.violation_messages.empty()
@@ -137,16 +138,21 @@ TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
                                       : r.violation_messages.front());
   EXPECT_GT(r.overload_pool_exhausted, 1'000u) << "cap=96 must actually refuse the storm";
   EXPECT_EQ(r.overload_pool_leaked, 0u);
-  EXPECT_LE(r.overload_peak_pool, 96u + 64u)
-      << "occupancy must stay near the cap (remote-release slack only)";
+  EXPECT_LE(r.overload_peak_pool, 96u) << "each domain pool's occupancy is exact";
+  // The receiver's pool refuses some arrivals crossing from the sender;
+  // conservation (zero violations) counts them through sim.crossing_drops.
+  const uint64_t crossing_drops = r.obs.metrics.CounterValue("sim.crossing_drops", "");
+  EXPECT_GT(crossing_drops, 0u) << "cap=96 must refuse crossing arrivals too";
 
   // The same tight-cap run is still shard-invariant: refusal verdicts
-  // depend on occupancy, which reconciles only at deterministic points.
+  // depend on each domain pool's occupancy, which moves only with that
+  // domain's own events.
   ChaosOptions opt8 = opt;
   opt8.shards = 8;
   const ChaosEngineResult r8 = RunChaosEngineStack(opt8, StackKind::kJuggler);
   EXPECT_EQ(r8.digest, r.digest);
   EXPECT_EQ(r8.overload_pool_exhausted, r.overload_pool_exhausted);
+  EXPECT_EQ(r8.obs.metrics.CounterValue("sim.crossing_drops", ""), crossing_drops);
 }
 
 TEST(OverloadChaosTest, RingCapTailDropsAreCountedNotFatal) {
@@ -334,24 +340,6 @@ TEST(OverloadPoolTest, OutstandingClampsWhenReleasesExceedAcquires) {
   EXPECT_EQ(source.outstanding(), 1u) << "the source still counts its live packet";
 }
 
-TEST(OverloadPoolTest, RemoteReleasesFoldOnlyAtReconcile) {
-  // Stamped pool: a release on a thread whose ambient pool differs goes to
-  // the origin's cross-thread return stack, and is counted against
-  // occupancy only at ReconcileRemoteReleases() — the deterministic fold
-  // point the shard-invariant refusal verdicts rely on.
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
-  PacketPool other;
-  Packet* p = origin.Acquire();
-  EXPECT_EQ(origin.outstanding(), 1u);
-  PacketPool* prev = PacketPool::SwapThreadPool(&other);
-  PacketPool::ReleaseToThreadPool(p);  // origin != ambient: remote return
-  PacketPool::SwapThreadPool(prev);
-  EXPECT_EQ(origin.outstanding(), 1u) << "remote release invisible before reconcile";
-  origin.ReconcileRemoteReleases();
-  EXPECT_EQ(origin.outstanding(), 0u);
-  EXPECT_EQ(origin.released(), 1u);
-}
-
 TEST(OverloadPoolTest, FactoryTryMakeKeepsIdSequenceDenseAcrossRefusals) {
   PacketPool capped;
   capped.set_capacity(1);
@@ -412,8 +400,8 @@ TEST(OverloadTcpTest, ZeroWindowProbeBreaksReceiveSideStall) {
   PacketFactory factory;
   PipeSink a_to_b(&loop, Us(10));
   PipeSink b_to_a(&loop, Us(10));
-  NicTx a_nic(&loop, &factory, NicTxConfig{}, &a_to_b);
-  NicTx b_nic(&loop, &factory, NicTxConfig{}, &b_to_a);
+  NicTx a_nic(&loop, &factory, &a_to_b);
+  NicTx b_nic(&loop, &factory, &b_to_a);
   const FiveTuple flow = TestFlow();
   TcpEndpoint a(&loop, TcpConfig{}, flow, &a_nic);
   TcpEndpoint b(&loop, TcpConfig{}, flow.Reversed(), &b_nic);
@@ -445,8 +433,8 @@ TEST(OverloadTcpTest, ProbesStopOnceWindowReopens) {
   PacketFactory factory;
   PipeSink a_to_b(&loop, Us(10));
   PipeSink b_to_a(&loop, Us(10));
-  NicTx a_nic(&loop, &factory, NicTxConfig{}, &a_to_b);
-  NicTx b_nic(&loop, &factory, NicTxConfig{}, &b_to_a);
+  NicTx a_nic(&loop, &factory, &a_to_b);
+  NicTx b_nic(&loop, &factory, &b_to_a);
   const FiveTuple flow = TestFlow();
   TcpEndpoint a(&loop, TcpConfig{}, flow, &a_nic);
   TcpEndpoint b(&loop, TcpConfig{}, flow.Reversed(), &b_nic);

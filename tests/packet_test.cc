@@ -217,11 +217,10 @@ TEST(PacketPoolTest, ReleaseBatchRecyclesAndConsumes) {
 
 TEST(PacketPoolTest, ReleaseBatchRoutesStampedPacketsToOrigin) {
   // Mixed-origin batch: ambient (unstamped) packets recycle locally, while
-  // packets stamped by a CrossThreadReturnTag pool that is NOT the ambient
-  // pool take the remote Treiber path back to their origin — even when the
-  // releasing thread is the same OS thread (shard domains swap pools, not
-  // threads).
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
+  // packets stamped by an OriginStampTag pool that is NOT the ambient pool
+  // go straight back to their origin's freelist (shard teardown releases
+  // every domain's packets on one thread this way).
+  PacketPool origin{PacketPool::OriginStampTag{}};
   PacketPool& ambient = PacketPool::ThreadLocal();
   ambient.Trim();
 
@@ -241,10 +240,10 @@ TEST(PacketPoolTest, ReleaseBatchRoutesStampedPacketsToOrigin) {
   const size_t ambient_before = ambient.free_size();
   PacketPool::ReleaseBatch(batch.data(), batch.size());
   EXPECT_EQ(ambient.free_size(), ambient_before + 8) << "ambient packets recycle locally";
-  EXPECT_EQ(origin.free_size(), 0u) << "remote returns park on the stack until drained";
+  EXPECT_EQ(origin.free_size(), 8u) << "stamped packets return to their origin at once";
+  EXPECT_EQ(origin.outstanding(), 0u);
 
-  // The origin drains its return stack on demand: 8 acquisitions come back
-  // recycled, not fresh.
+  // The origin reuses them: 8 acquisitions come back recycled, not fresh.
   prev = PacketPool::SwapThreadPool(&origin);
   const uint64_t recycled_before = origin.recycled();
   std::vector<PacketPtr> again;
@@ -261,7 +260,7 @@ TEST(PacketPoolTest, RemoteReturnChurnStaysBoundedAndRecycles) {
   // pool and releases them while another pool is ambient. The origin must
   // recycle all of them (no allocation leak into the ambient pool) and the
   // freelists must not grow with the number of rounds.
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
+  PacketPool origin{PacketPool::OriginStampTag{}};
   PacketPool& ambient = PacketPool::ThreadLocal();
   ambient.Trim();
   const size_t ambient_baseline = ambient.free_size();
@@ -274,13 +273,14 @@ TEST(PacketPoolTest, RemoteReturnChurnStaysBoundedAndRecycles) {
       batch.push_back(AllocPacket());
     }
     PacketPool::SwapThreadPool(prev);
-    batch.clear();  // released with ambient pool current -> remote return
+    batch.clear();  // released with the ambient pool current -> origin
     if (round == 0) {
       fresh_after_warmup = origin.acquired() - origin.recycled();
     }
   }
-  // After the first round primed the return stack, later rounds recycle:
-  // the origin never allocated more than ~2 rounds' worth of storage.
+  // After the first round primed the origin's freelist, later rounds
+  // recycle: the origin never allocated more than ~2 rounds' worth of
+  // storage.
   EXPECT_LE(origin.acquired() - origin.recycled(), fresh_after_warmup + 64);
   EXPECT_EQ(ambient.free_size(), ambient_baseline)
       << "stamped packets leaked into the ambient pool";

@@ -22,7 +22,7 @@ struct NullWire : PacketSink {
 };
 
 struct StubConnection {
-  StubConnection() : nic(&loop, &factory, NicTxConfig{}, &wire) {
+  StubConnection() : nic(&loop, &factory, &wire) {
     endpoint = std::make_unique<TcpEndpoint>(&loop, TcpConfig{}, TestFlow(), &nic);
   }
   EventLoop loop;

@@ -1,5 +1,6 @@
 // Sharded engine: lookahead-window correctness, exception forwarding,
-// cross-shard packet recycling, the per-rack Clos partition, and the
+// crossings that copy packets between domain pools, the per-rack Clos
+// partition, and the
 // headline guarantee — chaos digests are byte-identical no matter how many
 // workers multiplex the shard domains.
 
@@ -9,7 +10,6 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/packet/packet.h"
@@ -143,6 +143,59 @@ TEST_F(ShardedEngineTest, CrossingFromFinalWindowArrivesInNextRun) {
     EXPECT_EQ(sink.arrivals[1], kFirst + kLatency);
     EXPECT_EQ(engine.stats().windows, 4u) << workers;
     EXPECT_EQ(engine.stats().crossings, 2u) << workers;
+  }
+}
+
+// Keeps every arrival, so the destination pool's occupancy stays visible.
+struct HoldingSink : PacketSink {
+  std::vector<PacketPtr> held;
+  void Accept(PacketPtr p) override { held.push_back(std::move(p)); }
+};
+
+// A crossing carries a copy: the source frees its packet into its own pool
+// as the frame crosses, and the arrival takes storage from the
+// destination's pool, so it counts against that pool's cap. A destination
+// at its cap refuses the arrival: it is shed and counted, and nothing is
+// scheduled for it.
+TEST_F(ShardedEngineTest, CrossingCopiesIntoDestinationPoolAndCapRefusesIt) {
+  for (size_t workers : kWorkerCounts) {
+    ShardedEngine engine(workers);
+    ShardDomain* a = engine.AddDomain("a");
+    ShardDomain* b = engine.AddDomain("b");
+    RemoteEndpoint* ep = engine.Connect(a, b, Us(1));
+    HoldingSink sink;
+    ep->set_sink(&sink);
+    auto send = [&](Seq seq) {
+      PacketPtr p = a->factory().Make();
+      p->seq = seq;
+      ep->Accept(std::move(p));
+    };
+
+    a->loop().ScheduleAt(0, [&] { send(7); });
+    engine.Run(Us(10));
+    ASSERT_EQ(sink.held.size(), 1u) << workers;
+    EXPECT_EQ(sink.held[0]->seq, Seq(7));
+    EXPECT_EQ(sink.held[0]->id, 0u);
+    EXPECT_EQ(sink.held[0]->pool_origin, &b->pool());
+    EXPECT_EQ(a->pool().acquired(), 1u);
+    EXPECT_EQ(a->pool().outstanding(), 0u) << "the source frees its frame as it crosses";
+    EXPECT_EQ(b->pool().acquired(), 1u);
+    EXPECT_EQ(b->pool().outstanding(), 1u);
+    EXPECT_EQ(engine.stats().crossings, 1u);
+    EXPECT_EQ(engine.stats().crossing_drops, 0u);
+
+    b->pool().set_capacity(b->pool().outstanding());
+    const uint64_t b_events = b->executed_events();
+    a->loop().ScheduleAt(Us(12), [&] { send(8); });
+    engine.Run(Us(20));
+    EXPECT_EQ(sink.held.size(), 1u) << workers;
+    EXPECT_EQ(engine.stats().crossings, 2u) << "a refused arrival still counts as a crossing";
+    EXPECT_EQ(engine.stats().crossing_drops, 1u) << workers;
+    EXPECT_EQ(b->pool().exhausted(), 1u);
+    EXPECT_EQ(b->pool().acquired(), 1u);
+    EXPECT_EQ(b->executed_events(), b_events) << "no arrival event was scheduled";
+    EXPECT_EQ(a->pool().acquired(), 2u);
+    EXPECT_EQ(a->pool().outstanding(), 0u);
   }
 }
 
@@ -329,23 +382,9 @@ TEST_F(ShardedEngineTest, ClosRackPartitionIsWorkerCountInvariant) {
   }
 }
 
-// Cross-thread recycling: storage released on a foreign thread returns to
-// its origin pool's return stack and is reused by the next Acquire.
-TEST(PacketPoolCrossThread, RemoteReleaseRecyclesToOrigin) {
-  PacketPool pool{PacketPool::CrossThreadReturnTag{}};
-  Packet* storage = pool.Acquire();
-  EXPECT_EQ(storage->pool_origin, &pool);
-  std::thread([p = PacketPtr(storage)]() mutable { p.reset(); }).join();
-  EXPECT_EQ(pool.free_size(), 0u);  // parked on the return stack, not free_
-  Packet* again = pool.Acquire();
-  EXPECT_EQ(again, storage);
-  EXPECT_EQ(pool.recycled(), 1u);
-  pool.Release(again);
-}
-
 // A clone keeps its own storage's pool bookkeeping, not the source's.
 TEST(PacketPoolCrossThread, CloneKeepsOwnOrigin) {
-  PacketPool pool{PacketPool::CrossThreadReturnTag{}};
+  PacketPool pool{PacketPool::OriginStampTag{}};
   PacketPtr src(pool.Acquire());
   src->seq = 42;
   PacketPtr dup = ClonePacket(*src);  // thread-ambient storage
@@ -489,18 +528,20 @@ TEST(ShardMailboxTest, CapacityBoundsBufferAndCountsOverflow) {
   ShardMailbox box;
   EXPECT_EQ(box.capacity(), ShardMailbox::kDefaultCapacity);
   box.set_capacity(4);
+  Packet packet;
   for (int i = 0; i < 10; ++i) {
-    box.Push(AllocPacket(), /*arrival=*/i, /*sink=*/nullptr);
+    packet.seq = static_cast<Seq>(i);
+    box.Push(packet, /*arrival=*/i, /*sink=*/nullptr);
   }
-  // Four buffered, six shed at the fuse; the rejected packets recycle to
-  // the pool like any other wire loss (no leak under ASan).
+  // Four buffered copies, six shed at the fuse like any other wire loss.
   EXPECT_EQ(box.buffer().size(), 4u);
+  EXPECT_EQ(box.buffer().back().packet.seq, Seq(3));
   EXPECT_EQ(box.high_watermark(), 4u);
   EXPECT_EQ(box.overflow_drops(), 6u);
 
   // A drained mailbox accepts again; the high watermark is sticky.
   box.Clear();
-  box.Push(AllocPacket(), 0, nullptr);
+  box.Push(packet, 0, nullptr);
   EXPECT_EQ(box.buffer().size(), 1u);
   EXPECT_EQ(box.high_watermark(), 4u);
   EXPECT_EQ(box.overflow_drops(), 6u);

@@ -57,8 +57,8 @@ struct Harness {
   explicit Harness(TimeNs delay = Us(10), TcpConfig config = {})
       : a_pipe(&loop, delay),
         b_pipe(&loop, delay),
-        a_nic(&loop, &factory, NicTxConfig{}, &a_pipe),
-        b_nic(&loop, &factory, NicTxConfig{}, &b_pipe) {
+        a_nic(&loop, &factory, &a_pipe),
+        b_nic(&loop, &factory, &b_pipe) {
     const FiveTuple flow = TestFlow();
     a = std::make_unique<TcpEndpoint>(&loop, config, flow, &a_nic);
     b = std::make_unique<TcpEndpoint>(&loop, config, flow.Reversed(), &b_nic);

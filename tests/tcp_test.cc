@@ -67,8 +67,8 @@ struct TcpHarness {
   explicit TcpHarness(TimeNs one_way_delay = Us(10), TcpConfig config = {}) {
     a_to_b_pipe = std::make_unique<PipeSink>(&loop, one_way_delay);
     b_to_a_pipe = std::make_unique<PipeSink>(&loop, one_way_delay);
-    a_nic = std::make_unique<NicTx>(&loop, &factory, NicTxConfig{}, a_to_b_pipe.get());
-    b_nic = std::make_unique<NicTx>(&loop, &factory, NicTxConfig{}, b_to_a_pipe.get());
+    a_nic = std::make_unique<NicTx>(&loop, &factory, a_to_b_pipe.get());
+    b_nic = std::make_unique<NicTx>(&loop, &factory, b_to_a_pipe.get());
     const FiveTuple flow = TestFlow();
     a = std::make_unique<TcpEndpoint>(&loop, config, flow, a_nic.get());
     b = std::make_unique<TcpEndpoint>(&loop, config, flow.Reversed(), b_nic.get());
