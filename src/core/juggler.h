@@ -35,6 +35,7 @@
 #include "src/gro/flow_table.h"
 #include "src/gro/gro_engine.h"
 #include "src/gro/segment_builder.h"
+#include "src/util/flat_ring.h"
 #include "src/util/intrusive_list.h"
 #include "src/util/seq.h"
 
@@ -84,8 +85,9 @@ struct FlowEntry {
   FlowPhase phase = FlowPhase::kBuildUp;
   // Out-of-order queue: runs of merged contiguous packets, sorted by start
   // sequence. Contiguous same-metadata runs coalesce, so the queue stays as
-  // short as the number of distinct holes + metadata boundaries.
-  std::vector<SegmentBuilder> ooo_queue;
+  // short as the number of distinct holes + metadata boundaries. A ring, so
+  // a hole filled or a run flushed at the front shifts nothing behind it.
+  FlatRing<SegmentBuilder> ooo_queue;
   TimeNs flush_timestamp = 0;
   Seq seq_next = 0;
   Seq lost_seq = 0;
@@ -99,6 +101,9 @@ struct FlowEntry {
   uint32_t fold_run_hint = 0;
   IntrusiveListNode list_node;
 };
+// The table slab stores entries inline, so this size is perf_core's
+// flow_scale bytes-per-flow figure.
+static_assert(sizeof(FlowEntry) == 96, "FlowEntry grew: flow_scale bytes/flow moves with it");
 
 struct JugglerStats {
   uint64_t flows_created = 0;

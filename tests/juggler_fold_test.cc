@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -97,9 +98,10 @@ std::vector<PacketPtr> CloneStream(const std::vector<PacketPtr>& stream) {
 
 // Feeds `stream` to two engines: per-packet vs batches of `batch_size`.
 // Poll rounds (PollComplete + timer check + time advance) happen at batch
-// boundaries in both, so the only difference is the delivery API.
+// boundaries in both, so the only difference is the delivery API. When
+// `max_runs` is set, it receives the longest OOO queue seen at a boundary.
 void RunEquivalence(std::vector<PacketPtr> stream, size_t batch_size,
-                    const JugglerConfig& config = JugglerConfig{}) {
+                    const JugglerConfig& config = JugglerConfig{}, size_t* max_runs = nullptr) {
   std::vector<PacketPtr> batched_stream = CloneStream(stream);
   auto per_packet = MakeHarness(config);
   auto batched = MakeHarness(config);
@@ -112,6 +114,11 @@ void RunEquivalence(std::vector<PacketPtr> stream, size_t batch_size,
       cost_per_packet += per_packet->Receive(std::move(stream[base + i]));
     }
     cost_batched += batched->ReceiveBatch(batched_stream.data() + base, n);
+    if (max_runs != nullptr) {
+      for (const auto& flow : static_cast<Juggler*>(batched->engine())->Audit().flows) {
+        *max_runs = std::max(*max_runs, flow.queue_runs);
+      }
+    }
     for (GroHarness* h : {per_packet.get(), batched.get()}) {
       h->Advance(Us(3));
       h->PollComplete();
@@ -255,7 +262,14 @@ struct FoldSweepParams {
   size_t batch_size;
   uint32_t num_flows;
   bool sub_mss;
+  // Nonzero: instead of windowed displacement, each packet takes one of two
+  // lanes at random, and the second delays it by this many packet times —
+  // the NetFPGA reorder stage. Holes then open all along a deep queue and
+  // fill from its front. (16 bits, so it fits in the struct's tail padding
+  // and the parameter's printed size, part of each test's name, stays put.)
+  uint16_t lane_delay = 0;
 };
+static_assert(sizeof(FoldSweepParams) == 32, "the sweep's test names print this size");
 
 class JugglerFoldSweepTest : public ::testing::TestWithParam<FoldSweepParams> {};
 
@@ -265,7 +279,7 @@ TEST_P(JugglerFoldSweepTest, BatchedDeliveryIsObservablyPerPacket) {
 
   // Per-flow sequences of (seq, len), displaced within the window, then
   // interleaved round-robin with occasional flag/metadata noise.
-  const uint32_t packets_per_flow = 240;
+  const uint32_t packets_per_flow = p.lane_delay != 0 ? 1200 : 240;
   std::vector<std::vector<std::pair<Seq, uint32_t>>> flows(p.num_flows);
   for (auto& f : flows) {
     Seq seq = 0;
@@ -278,10 +292,12 @@ TEST_P(JugglerFoldSweepTest, BatchedDeliveryIsObservablyPerPacket) {
       in_order.emplace_back(seq, len);
       seq += len;
     }
-    // Windowed displacement, as in the property tests.
+    // Windowed displacement, as in the property tests, or two lanes.
     std::vector<std::pair<double, size_t>> keyed;
     for (size_t i = 0; i < in_order.size(); ++i) {
-      keyed.emplace_back(static_cast<double>(i) + rng.NextDouble() * p.window, i);
+      const double delay = p.lane_delay != 0 ? (rng.NextBool(0.5) ? p.lane_delay : 0.0)
+                                             : rng.NextDouble() * p.window;
+      keyed.emplace_back(static_cast<double>(i) + delay, i);
     }
     std::stable_sort(keyed.begin(), keyed.end(),
                      [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -304,7 +320,17 @@ TEST_P(JugglerFoldSweepTest, BatchedDeliveryIsObservablyPerPacket) {
       stream.push_back(std::move(pkt));
     }
   }
-  RunEquivalence(std::move(stream), p.batch_size);
+  if (p.lane_delay == 0) {
+    RunEquivalence(std::move(stream), p.batch_size);
+    return;
+  }
+  // Long timeouts keep the holes open, so the queue stays deep and the
+  // front-side shifts of hole fills and head flushes run throughout.
+  JugglerConfig config;
+  config.ofo_timeout = Ms(5);
+  size_t max_runs = 0;
+  RunEquivalence(std::move(stream), p.batch_size, config, &max_runs);
+  EXPECT_GE(max_runs, 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -316,12 +342,14 @@ INSTANTIATE_TEST_SUITE_P(
                       FoldSweepParams{5, 0, 64, 2, true},    // sub-MSS, in order
                       FoldSweepParams{6, 12, 48, 5, true},   // sub-MSS + reorder
                       FoldSweepParams{7, 80, 8, 8, true},    // extreme reorder
-                      FoldSweepParams{8, 3, 1, 4, false}),   // batch of one
+                      FoldSweepParams{8, 3, 1, 4, false},    // batch of one
+                      FoldSweepParams{9, 0, 32, 2, false, 320}),  // deep two-lane
     [](const ::testing::TestParamInfo<FoldSweepParams>& info) {
       const FoldSweepParams& p = info.param;
       return "seed" + std::to_string(p.seed) + "_w" + std::to_string(p.window) + "_b" +
              std::to_string(p.batch_size) + "_f" + std::to_string(p.num_flows) +
-             (p.sub_mss ? "_submss" : "");
+             (p.sub_mss ? "_submss" : "") +
+             (p.lane_delay != 0 ? "_lanes" + std::to_string(p.lane_delay) : "");
     });
 
 }  // namespace

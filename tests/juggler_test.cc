@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/core/juggler.h"
 #include "tests/test_util.h"
@@ -525,6 +526,110 @@ TEST(JugglerTest, EvictionFlushesEveryBufferedByte) {
   EXPECT_EQ(stats.buffered_bytes_out, stats.buffered_bytes_in - held);
   // And the evicted flows' bytes reached the host as segments.
   EXPECT_EQ(TotalPayload(h.delivered()), 4u * 3u * kMss);
+}
+
+// ------------------------------------------------ OOO queue search cost --
+
+// The §3.2 OOO queue as the paper describes it: a sorted list of runs
+// searched from the tail, one step per run passed. It models one build-up
+// flow of full-MSS ACK packets without flags, so no run fills and nothing
+// flushes before a timeout. Juggler finds the same insert point by binary
+// search and must charge exactly this walk.
+struct LinearScanQueue {
+  struct Run {
+    Seq start;
+    uint32_t len;
+  };
+  CpuCostModel costs;
+  Seq seq_next = 0;
+  std::vector<Run> runs;
+
+  uint64_t buffered() const {
+    uint64_t bytes = 0;
+    for (const Run& run : runs) {
+      bytes += run.len;
+    }
+    return bytes;
+  }
+
+  // Modeled cost of Receive() for a packet of an existing flow.
+  TimeNs Receive(Seq seq) {
+    TimeNs cost = costs.gro_per_packet;
+    if (!runs.empty() && runs[0].start == seq_next && seq == runs[0].start + runs[0].len) {
+      runs[0].len += kMss;  // head-run extension: no search
+      Coalesce(0);
+      return cost;
+    }
+    cost += costs.juggler_ooo_insert;
+    size_t idx = runs.size();
+    while (idx > 0 && SeqAfter(runs[idx - 1].start, seq)) {
+      --idx;
+      cost += costs.juggler_ooo_search_per_run;
+    }
+    if (idx > 0 && runs[idx - 1].start + runs[idx - 1].len == seq) {
+      runs[idx - 1].len += kMss;
+      Coalesce(idx - 1);
+      return cost;
+    }
+    runs.insert(runs.begin() + static_cast<long>(idx), Run{seq, kMss});
+    Coalesce(idx);
+    return cost;
+  }
+
+  void Coalesce(size_t i) {
+    while (i + 1 < runs.size() && runs[i].start + runs[i].len == runs[i + 1].start) {
+      runs[i].len += runs[i + 1].len;
+      runs.erase(runs.begin() + static_cast<long>(i) + 1);
+    }
+  }
+};
+
+TEST(JugglerTest, OooQueueAcrossSeqWrapChargesTheTailwardWalk) {
+  // Packet k carries seq base + k*MSS; packet 20 sits at seq 0, so the
+  // queue spans the 2^32 wrap. Every even packet arrives first (20 runs
+  // split by one-packet holes), then holes fill at the back, around the
+  // wrap, at the front and at the head, and new runs open past the tail
+  // and between two runs.
+  const Seq base = 0u - 20u * kMss;
+  const FiveTuple flow = TestFlow();
+  GroHarness h = MakeJuggler();
+  LinearScanQueue ref;
+  ref.seq_next = base;
+  ref.runs.push_back({base, kMss});
+  h.Receive(MakeDataPacket(flow, base, kMss));
+
+  std::vector<uint32_t> order;
+  for (uint32_t k = 2; k <= 38; k += 2) {
+    order.push_back(k);
+  }
+  for (uint32_t k : {37u, 19u, 21u, 3u, 1u, 60u, 50u, 5u, 29u}) {
+    order.push_back(k);
+  }
+  for (uint32_t k : order) {
+    SCOPED_TRACE("packet " + std::to_string(k));
+    const Seq seq = base + k * kMss;
+    const TimeNs expected_cost = ref.Receive(seq);
+    EXPECT_EQ(h.Receive(MakeDataPacket(flow, seq, kMss)), expected_cost);
+    const Juggler::AuditView view = Engine(h)->Audit();
+    ASSERT_EQ(view.flows.size(), 1u);
+    EXPECT_EQ(view.flows[0].queue_runs, ref.runs.size());
+    EXPECT_EQ(view.flows[0].buffered_bytes, ref.buffered());
+    EXPECT_EQ(view.flows[0].seq_next, ref.seq_next);
+  }
+  EXPECT_TRUE(h.delivered().empty());
+  EXPECT_EQ(ref.runs.size(), 15u);
+
+  // The timeouts flush every run, in sequence order, as it stands: the
+  // in-sequence head on inseq_timeout, then the rest on ofo_timeout.
+  for (int poll = 0; poll < 2; ++poll) {
+    h.Advance(Ms(1));
+    h.PollComplete();
+  }
+  ASSERT_EQ(h.delivered().size(), ref.runs.size());
+  for (size_t i = 0; i < ref.runs.size(); ++i) {
+    EXPECT_EQ(h.delivered()[i].seq, ref.runs[i].start) << "segment " << i;
+    EXPECT_EQ(h.delivered()[i].payload_len, ref.runs[i].len) << "segment " << i;
+  }
 }
 
 }  // namespace
