@@ -186,22 +186,26 @@ uint64_t OverloadAuditor::pool_exhausted() const {
   return total;
 }
 
-void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
-  ++probes_;
+void OverloadAuditor::ReadPeak() {
   for (const PacketPool* pool : wiring_.pools) {
-    const int64_t outstanding = OutstandingOf(pool);
-    if (outstanding > 0 && static_cast<uint64_t>(outstanding) > peak_outstanding_) {
-      peak_outstanding_ = static_cast<uint64_t>(outstanding);
+    const uint64_t peak = pool->peak_outstanding();
+    if (peak <= peak_outstanding_) {
+      continue;
     }
+    peak_outstanding_ = peak;
     // The hard cap: occupancy never exceeds the nominal capacity (brown-outs
-    // shrink below nominal, so nominal bounds both).
-    if (wiring_.pool_capacity != 0 &&
-        outstanding > static_cast<int64_t>(wiring_.pool_capacity)) {
-      log_->Violation(name_, "pool occupancy " + std::to_string(outstanding) +
-                                 " exceeds capacity " +
+    // shrink below nominal, so nominal bounds both). Each new peak over it
+    // is reported once.
+    if (wiring_.pool_capacity != 0 && peak > wiring_.pool_capacity) {
+      log_->Violation(name_, "pool occupancy " + std::to_string(peak) + " exceeds capacity " +
                                  std::to_string(wiring_.pool_capacity));
     }
   }
+}
+
+void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
+  ++probes_;
+  ReadPeak();
   // Forward progress / no deadlock: a run that executes no events, moves no
   // bytes and has no event pending across several consecutive 10ms probe
   // windows while the clock still advances is wedged, pressure or not. A
@@ -237,6 +241,7 @@ void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
 
 void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_complete,
                                  const OverloadStats& driver) {
+  ReadPeak();
   final_outstanding_ = Outstanding();
   final_exhausted_ = pool_exhausted();
 

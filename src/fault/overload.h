@@ -189,6 +189,10 @@ class OverloadAuditor {
 
  private:
   uint64_t Outstanding() const;
+  // Folds the wired pools' occupancy high watermarks into peak_outstanding_
+  // and checks them against the cap. The pools keep the marks as packets
+  // are acquired, so a storm that drains between two probes still counts.
+  void ReadPeak();
 
   std::string name_;
   OverloadWiring wiring_;

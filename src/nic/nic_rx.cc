@@ -13,6 +13,9 @@ size_t NicRx::Steer(const Packet& packet) const {
   if (config_.force_queue >= 0) {
     return static_cast<size_t>(config_.force_queue) % queues_.size();
   }
+  if (queues_.size() == 1) {
+    return 0;  // what the hash modulo one ring gives, without the hash
+  }
   return static_cast<size_t>(packet.flow.Hash() >> 17) % queues_.size();
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/net/link.h"
@@ -8,6 +10,7 @@
 #include "src/net/stages.h"
 #include "src/net/switch.h"
 #include "src/sim/event_loop.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace juggler {
@@ -290,6 +293,63 @@ TEST(ReorderStageTest, LanePreservesFifo) {
   loop.Run();
   EXPECT_EQ(sink.packets[0]->seq, 0u);
   EXPECT_EQ(sink.packets[1]->seq, kMss);
+}
+
+TEST(ReorderStageTest, CommittedLanesCostOneEventPerDelayedPacket) {
+  // Packets accepted every 700ns into lanes {0, 100us}, from outside any
+  // event, so every event the loop runs is the stage's. 100us is no
+  // multiple of 700ns, so no two departures tie and the order is exact.
+  constexpr int kPackets = 400;
+  constexpr TimeNs kSpacing = 700;
+  const std::vector<TimeNs> delays = {0, Us(100)};
+  EventLoop loop;
+  PacketFactory f;
+  CollectorSink sink(&loop);
+  ReorderStage stage(&loop, delays, 7, &sink);
+
+  // The stage's lane choices, replayed from its seed, and by hand: each
+  // packet's departure and displacement behind the latest departure so far.
+  Rng lanes(7);
+  std::vector<std::pair<TimeNs, Seq>> expected;  // (departure, seq)
+  Log2Histogram displacement;
+  TimeNs max_out = 0;
+  uint64_t delayed = 0;
+  for (int s = 0; s < kPackets; ++s) {
+    const TimeNs at = s * kSpacing;
+    const size_t lane = static_cast<size_t>(lanes.NextBounded(delays.size()));
+    const TimeNs out = at + delays[lane];
+    delayed += lane == 1 ? 1 : 0;
+    expected.emplace_back(out, static_cast<Seq>(s) * kMss);
+    displacement.Record(max_out > out ? static_cast<uint64_t>(max_out - out) : 0);
+    max_out = std::max(max_out, out);
+
+    loop.RunUntil(at);
+    const size_t before = sink.packets.size();
+    stage.Accept(WirePacket(&f, static_cast<Seq>(s) * kMss));
+    // Lane 0 delivers inline; lane 1 holds one timer, for its head.
+    EXPECT_EQ(sink.packets.size(), before + (lane == 0 ? 1 : 0)) << "packet " << s;
+    EXPECT_LE(loop.pending_timer_ids(), 1u) << "packet " << s;
+  }
+  loop.Run();
+
+  EXPECT_GT(delayed, 150u);
+  EXPECT_LT(delayed, 250u);
+  EXPECT_EQ(loop.executed_events(), delayed);
+  EXPECT_EQ(stage.packets_through(), static_cast<uint64_t>(kPackets));
+  // Each packet leaves at accept time + lane delay, FIFO within its lane.
+  std::stable_sort(expected.begin(), expected.end());
+  ASSERT_EQ(sink.packets.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sink.arrival_times[i], expected[i].first) << "departure " << i;
+    EXPECT_EQ(sink.packets[i]->seq, expected[i].second) << "departure " << i;
+  }
+  const Log2Histogram& h = stage.displacement_histogram();
+  EXPECT_EQ(h.count, displacement.count);
+  EXPECT_EQ(h.sum, displacement.sum);
+  EXPECT_GT(h.sum, 0u);
+  for (int b = 0; b < Log2Histogram::kBuckets; ++b) {
+    EXPECT_EQ(h.buckets[b], displacement.buckets[b]) << "bucket " << b;
+  }
 }
 
 // ---- LoadBalancer ----

@@ -138,7 +138,11 @@ TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
                                       : r.violation_messages.front());
   EXPECT_GT(r.overload_pool_exhausted, 1'000u) << "cap=96 must actually refuse the storm";
   EXPECT_EQ(r.overload_pool_leaked, 0u);
-  EXPECT_LE(r.overload_peak_pool, 96u) << "each domain pool's occupancy is exact";
+  // The pools keep their occupancy high watermark at every acquire, so the
+  // peak is exact however briefly it lasted: the storm fills a pool to the
+  // cap, and every capped acquisition goes through TryAcquire, so it never
+  // passes it.
+  EXPECT_EQ(r.overload_peak_pool, 96u) << "each domain pool's occupancy is exact";
   // The receiver's pool refuses some arrivals crossing from the sender;
   // conservation (zero violations) counts them through sim.crossing_drops.
   const uint64_t crossing_drops = r.obs.metrics.CounterValue("sim.crossing_drops", "");
