@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -265,11 +266,17 @@ struct FoldSweepParams {
   // Nonzero: instead of windowed displacement, each packet takes one of two
   // lanes at random, and the second delays it by this many packet times —
   // the NetFPGA reorder stage. Holes then open all along a deep queue and
-  // fill from its front. (16 bits, so it fits in the struct's tail padding
-  // and the parameter's printed size, part of each test's name, stays put.)
+  // fill from its front.
   uint16_t lane_delay = 0;
 };
-static_assert(sizeof(FoldSweepParams) == 32, "the sweep's test names print this size");
+
+// gtest prints the parameter into each test's listed name; without this it
+// dumps the struct's bytes, padding included, so names varied by build.
+void PrintTo(const FoldSweepParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " window=" << p.window << " batch_size=" << p.batch_size
+      << " num_flows=" << p.num_flows << " sub_mss=" << p.sub_mss
+      << " lane_delay=" << p.lane_delay;
+}
 
 class JugglerFoldSweepTest : public ::testing::TestWithParam<FoldSweepParams> {};
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -92,6 +93,13 @@ struct PropertyParams {
   size_t table_size;
   uint32_t num_flows;
 };
+
+// gtest prints the parameter into each test's listed name; without this it
+// dumps the struct's bytes, padding included, so names varied by build.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " window=" << p.window << " table_size=" << p.table_size
+      << " num_flows=" << p.num_flows;
+}
 
 class JugglerPropertyTest : public ::testing::TestWithParam<PropertyParams> {};
 

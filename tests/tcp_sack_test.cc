@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -34,14 +35,18 @@ class PipeSink : public PacketSink {
   PipeSink(EventLoop* loop, TimeNs delay) : loop_(loop), delay_(delay) {}
   void set_target(TcpEndpoint* target) { target_ = target; }
   void set_drop_fn(std::function<bool(const Packet&)> fn) { drop_fn_ = std::move(fn); }
+  void set_extra_delay_fn(std::function<TimeNs(const Packet&)> fn) {
+    extra_delay_fn_ = std::move(fn);
+  }
 
   void Accept(PacketPtr packet) override {
     last_sack = packet->sack;
     if (drop_fn_ && drop_fn_(*packet)) {
       return;
     }
+    const TimeNs extra = extra_delay_fn_ ? extra_delay_fn_(*packet) : 0;
     const Segment s = PacketToSegment(*packet);
-    loop_->Schedule(delay_, [this, s] { target_->OnSegment(s); });
+    loop_->Schedule(delay_ + extra, [this, s] { target_->OnSegment(s); });
   }
 
   SackBlocks last_sack;
@@ -51,6 +56,7 @@ class PipeSink : public PacketSink {
   TimeNs delay_;
   TcpEndpoint* target_ = nullptr;
   std::function<bool(const Packet&)> drop_fn_;
+  std::function<TimeNs(const Packet&)> extra_delay_fn_;
 };
 
 struct Harness {
@@ -162,6 +168,52 @@ TEST(TcpSackTest, RtoResetsAdaptiveThreshold) {
   EXPECT_GE(h.a->sender_stats().rtos, 1u);
   EXPECT_EQ(h.a->effective_dupack_threshold(), config.dupack_threshold);
   EXPECT_EQ(h.b->bytes_delivered(), 150'000u);
+}
+
+TEST(TcpSackTest, AdaptiveDupackThresholdStopsAt256) {
+  // Every DSACK-proven spurious fast retransmit doubles the dupACK threshold
+  // (3, 6, ..., 192) until it reaches its cap of 256. Hold every 3000th new
+  // data packet for 1 ms, ten RTTs of this 100 us path: the hole it leaves
+  // triggers a fast retransmit, and the late original comes back as a DSACK.
+  // The hold stays under the 2 ms minimum RTO, so no timeout resets the
+  // threshold along the way.
+  constexpr int kCap = 256;
+  constexpr uint64_t kHoldEvery = 3000;
+  constexpr TimeNs kHold = Ms(1);
+  constexpr TimeNs kRun = Ms(10);
+  Harness h(Us(50));
+  Seq next_new = 0;
+  uint64_t new_packets = 0;
+  h.a_pipe.set_extra_delay_fn([&](const Packet& p) -> TimeNs {
+    if (p.payload_len == 0 || SeqBefore(p.seq, next_new)) {
+      return 0;  // an ACK or a retransmission
+    }
+    next_new = p.seq + p.payload_len;
+    return ++new_packets % kHoldEvery == 0 ? kHold : 0;
+  });
+  h.a->SendForever();
+  int max_threshold = 0;
+  uint64_t detections_at_cap = 0;
+  while (h.loop.now() < kRun) {
+    const int before = h.a->effective_dupack_threshold();
+    const uint64_t detected = h.a->sender_stats().spurious_retransmits_detected;
+    h.loop.RunSteps(1);
+    if (before == kCap && h.a->sender_stats().spurious_retransmits_detected > detected) {
+      ++detections_at_cap;
+    }
+    max_threshold = std::max(max_threshold, h.a->effective_dupack_threshold());
+  }
+  EXPECT_EQ(max_threshold, kCap);
+  EXPECT_EQ(h.a->effective_dupack_threshold(), kCap);
+  EXPECT_GT(detections_at_cap, 0u) << "no spurious retransmit was proven at the cap";
+  ASSERT_EQ(h.a->sender_stats().rtos, 0u);
+
+  // A genuine timeout resets the learned threshold to dupack_threshold.
+  h.a_pipe.set_drop_fn([](const Packet& p) { return p.payload_len > 0; });
+  while (h.a->sender_stats().rtos == 0) {
+    h.loop.RunSteps(1);
+  }
+  EXPECT_EQ(h.a->effective_dupack_threshold(), 3);
 }
 
 TEST(TcpSackTest, RtoNotPostponedByOngoingSends) {
