@@ -122,17 +122,16 @@ void SrptDemo() {
   for (bool use_juggler : {true, false}) {
     for (bool srpt : {false, true}) {
       auto rig = std::make_unique<SrptRig>();
-      DumbbellOptions opt;
-      opt.host_template = DefaultHost();
-      opt.host_template.rx.num_queues = 8;
-      opt.host_template.num_app_cores = 8;
+      HostConfig host = DefaultHost();
+      host.rx.num_queues = 8;
+      host.num_app_cores = 8;
       if (use_juggler) {
         JugglerConfig jcfg;
         jcfg.inseq_timeout = Us(13);
         jcfg.ofo_timeout = Ms(1);
-        opt.host_template.gro_factory = MakeJugglerFactory(jcfg);
+        host.gro_factory = MakeJugglerFactory(jcfg);
       }
-      rig->testbed = BuildDumbbell(&rig->world, opt);
+      rig->testbed = BuildDumbbell(&rig->world, host);
       DumbbellTestbed& t = rig->testbed;
       // Antagonist fills the low-priority queue.
       EndpointPair antagonist = ConnectHosts(t.sender2, t.receiver2, 3000, 4000);

@@ -25,7 +25,6 @@ void RunVariant(int64_t receiver_rate_bps) {
   opt.hosts_per_tor = 8;
   opt.lb = LbPolicy::kPerPacket;
   opt.host_link_rate_bps = receiver_rate_bps;
-  opt.fabric_link_rate_bps = 40 * kGbps;
   // Shallow ToR port buffers (~40us at 40G) keep the cross-path delay
   // difference in the "10s of microseconds" regime the paper reports for
   // real-world queueing-induced reordering.

@@ -24,21 +24,20 @@ struct GuaranteeRig {
 
 inline std::unique_ptr<GuaranteeRig> BuildGuaranteeRig(bool use_juggler, uint64_t seed) {
   auto rig = std::make_unique<GuaranteeRig>();
-  DumbbellOptions opt;
-  opt.host_template = DefaultHost();
+  HostConfig host = DefaultHost();
   // The paper's hosts spread flows across RX queues and cores; a single
   // flow is still bounded by one core (the ~25Gb/s ceiling of Fig. 18).
-  opt.host_template.rx.num_queues = 8;
-  opt.host_template.num_app_cores = 8;
+  host.rx.num_queues = 8;
+  host.num_app_cores = 8;
   if (use_juggler) {
     JugglerConfig jcfg;
     jcfg.inseq_timeout = Us(13);
     // Expected reordering = the low-priority queue depth (~800us at 40G on
     // the deep-buffer interconnect), per the §5.2.1 tuning rule.
     jcfg.ofo_timeout = Ms(1);
-    opt.host_template.gro_factory = MakeJugglerFactory(jcfg);
+    host.gro_factory = MakeJugglerFactory(jcfg);
   }
-  rig->testbed = BuildDumbbell(&rig->world, opt);
+  rig->testbed = BuildDumbbell(&rig->world, host);
   DumbbellTestbed& t = rig->testbed;
   rig->target = ConnectHosts(t.sender1, t.receiver1, 1000, 2000);
   for (uint16_t i = 0; i < 7; ++i) {

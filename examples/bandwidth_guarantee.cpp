@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
               guarantee_gbps);
 
   SimWorld world;
-  DumbbellOptions opt;
-  opt.host_template.rx.int_coalesce = Us(125);
-  opt.host_template.rx.num_queues = 8;
-  opt.host_template.num_app_cores = 8;
+  HostConfig host;
+  host.rx.int_coalesce = Us(125);
+  host.rx.num_queues = 8;
+  host.num_app_cores = 8;
   JugglerConfig jcfg;
   jcfg.inseq_timeout = Us(13);
   jcfg.ofo_timeout = Us(100);
-  opt.host_template.gro_factory = MakeJugglerFactory(jcfg);
-  DumbbellTestbed t = BuildDumbbell(&world, opt);
+  host.gro_factory = MakeJugglerFactory(jcfg);
+  DumbbellTestbed t = BuildDumbbell(&world, host);
 
   EndpointPair target = ConnectHosts(t.sender1, t.receiver1, 1000, 2000);
   std::vector<EndpointPair> antagonists;

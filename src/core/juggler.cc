@@ -12,13 +12,13 @@ using RunQueue = FlatRing<SegmentBuilder>;
 
 // Join run i with following runs while they are contiguous, metadata-equal
 // and the merge stays under the segment cap.
-void CoalesceForward(RunQueue* queue, size_t i, uint32_t max_payload) {
+void CoalesceForward(RunQueue* queue, size_t i) {
   while (i + 1 < queue->size()) {
     SegmentBuilder& cur = (*queue)[i];
     SegmentBuilder& next = (*queue)[i + 1];
     if (cur.end_seq() != next.start_seq() || cur.options_token() != next.options_token() ||
         cur.segment().ce_mark != next.segment().ce_mark ||
-        cur.payload_len() + next.payload_len() > max_payload) {
+        cur.payload_len() + next.payload_len() > kMaxTsoPayload) {
       return;
     }
     cur.Append(std::move(next));
@@ -62,8 +62,8 @@ uint64_t QueuedBytes(const RunQueue& queue) {
 
 // A run is "ready" to flush on the event-driven path when it carries urgent
 // flags or has no room for another MTU (Table 2 rows 2-3).
-bool RunReady(const SegmentBuilder& run, uint32_t max_payload) {
-  return run.needs_flush() || run.payload_len() + kMss > max_payload;
+bool RunReady(const SegmentBuilder& run) {
+  return run.needs_flush() || run.payload_len() + kMss > kMaxTsoPayload;
 }
 
 }  // namespace
@@ -198,7 +198,7 @@ TimeNs Juggler::FlushPrefix(FlowEntry* entry, bool ready_only, FlushReason reaso
   auto& queue = entry->ooo_queue;
   while (!queue.empty() && queue.front().start_seq() == entry->seq_next) {
     SegmentBuilder& run = queue.front();
-    const bool ready = RunReady(run, config_.max_segment_payload);
+    const bool ready = RunReady(run);
     if (ready_only && !ready) {
       break;
     }
@@ -246,7 +246,6 @@ TimeNs Juggler::HandleOfoTimeout(FlowEntry* entry) {
 TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate) {
   *duplicate = false;
   auto& queue = entry->ooo_queue;
-  const uint32_t max_payload = config_.max_segment_payload;
   TimeNs cost = 0;
 
   // No head-run merge here: Receive() has already tried the identical one
@@ -280,11 +279,11 @@ TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate)
       return cost + costs_->gro_flush_per_segment;
     }
     if (p.seq == prev.end_seq()) {
-      switch (prev.TryMerge(p, max_payload)) {
+      switch (prev.TryMerge(p, kMaxTsoPayload)) {
         case SegmentBuilder::MergeResult::kMerged:
         case SegmentBuilder::MergeResult::kMergedFinal:
           NoteEnqueued(entry, p.payload_len);
-          CoalesceForward(&queue, idx - 1, max_payload);
+          CoalesceForward(&queue, idx - 1);
           return cost;
         default:
           break;  // metadata/size refusal: fresh run right after prev
@@ -300,7 +299,7 @@ TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate)
   }
   queue.Insert(idx).Start(p);
   NoteEnqueued(entry, p.payload_len);
-  CoalesceForward(&queue, idx, max_payload);
+  CoalesceForward(&queue, idx);
   return cost;
 }
 
@@ -392,14 +391,13 @@ size_t Juggler::TryFoldRun(PacketPtr* packets, size_t count, TimeNs* cost) {
     return 0;  // Receive()'s head path would flush right after the merge
   }
   if (!head_in_seq && queue.front().start_seq() == entry->seq_next &&
-      RunReady(queue.front(), config_.max_segment_payload)) {
+      RunReady(queue.front())) {
     return 0;  // an in-sequence ready head run flushes after every insert
   }
 
   SegmentBuilder& run = queue[j];
   const uint32_t token = run.options_token();
   const bool ce = run.segment().ce_mark;
-  const uint32_t max_payload = config_.max_segment_payload;
   uint32_t payload = run.payload_len();
   Seq end = run.end_seq();
   uint32_t bytes = 0;
@@ -422,10 +420,10 @@ size_t Juggler::TryFoldRun(PacketPtr* packets, size_t count, TimeNs* cost) {
       // the cap. Admitting right up to the cap would sail past the point
       // where per-packet delivery flushes — observable with sub-MSS
       // packets.
-      if (payload + p.payload_len + kMss > max_payload) {
+      if (payload + p.payload_len + kMss > kMaxTsoPayload) {
         break;
       }
-    } else if (payload + p.payload_len > max_payload) {
+    } else if (payload + p.payload_len > kMaxTsoPayload) {
       break;  // TryMerge would refuse (kRefusedSize)
     }
     payload += p.payload_len;
@@ -469,8 +467,8 @@ size_t Juggler::TryFoldRun(PacketPtr* packets, size_t count, TimeNs* cost) {
   }
   *cost += static_cast<TimeNs>(mtus) * per_packet;
   entry->fold_run_hint = static_cast<uint32_t>(j);
-  CoalesceForward(&queue, j, max_payload);
-  if (head_in_seq && RunReady(queue.front(), max_payload)) {
+  CoalesceForward(&queue, j);
+  if (head_in_seq && RunReady(queue.front())) {
     *cost += FlushPrefix(entry, /*ready_only=*/true, FlushReason::kFlags);
   }
   return i;
@@ -512,12 +510,12 @@ TimeNs Juggler::Receive(PacketPtr packet) {
   auto& queue = entry->ooo_queue;
   if (!queue.empty() && queue.front().start_seq() == entry->seq_next &&
       p.seq == queue.front().end_seq()) {
-    const auto merged = queue.front().TryMerge(p, config_.max_segment_payload);
+    const auto merged = queue.front().TryMerge(p, kMaxTsoPayload);
     if (merged == SegmentBuilder::MergeResult::kMerged ||
         merged == SegmentBuilder::MergeResult::kMergedFinal) {
       NoteEnqueued(entry, p.payload_len);
-      CoalesceForward(&queue, 0, config_.max_segment_payload);
-      if (RunReady(queue.front(), config_.max_segment_payload)) {
+      CoalesceForward(&queue, 0);
+      if (RunReady(queue.front())) {
         cost += FlushPrefix(entry, /*ready_only=*/true, FlushReason::kFlags);
       }
       return cost;

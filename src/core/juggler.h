@@ -53,8 +53,6 @@ struct JugglerConfig {
   // Hard cap on gro_table entries (§3.3: strict upper limit against memory
   // exhaustion). §5.2.2 finds 8–64 suffices.
   size_t max_flows = 64;
-  // GRO merge cap ("64KB" = 45 MTU payloads).
-  uint32_t max_segment_payload = kMaxTsoPayload;
   // Remark 1 ablation: when false, seq_next is pinned to the first packet's
   // sequence number instead of learning a minimum during build-up.
   bool enable_buildup_phase = true;

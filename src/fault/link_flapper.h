@@ -39,7 +39,6 @@ class LinkFlapper {
 
   uint64_t flaps_started() const { return flaps_started_; }
   uint64_t flaps_finished() const { return flaps_finished_; }
-  size_t num_windows() const { return windows_.size(); }
 
   // `count` windows of length [min_down, max_down] placed uniformly in
   // [horizon/8, horizon), non-overlapping (later windows are pushed past

@@ -50,7 +50,6 @@ class StreamIntegrityChecker {
   bool FinalCheck();
 
   uint64_t delivered_total() const { return delivered_total_; }
-  uint64_t segment_bytes_covered() const { return covered_.TotalBytes(); }
   uint64_t deliver_callbacks() const { return deliver_callbacks_; }
 
   // Identity of the byte stream the app received. The simulator carries no

@@ -284,6 +284,16 @@ bool ScenarioSpec::FromJson(const Json& json, ScenarioSpec* out, std::string* er
   return true;
 }
 
+// Transfer and fault-window bounds for sampled specs, chosen so a correct
+// stack always completes the transfer inside time_limit (the fuzzer hunts
+// bugs, not resource limits).
+constexpr uint64_t kMinSampledTransferBytes = 400'000;
+constexpr uint64_t kMaxSampledTransferBytes = 2'000'000;
+constexpr uint64_t kMaxSampledWindows = 4;
+// Probability a sampled spec also runs the shard-divergence oracle
+// (roughly doubles that spec's cost).
+constexpr double kShardDivergenceProb = 0.25;
+
 ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
   ScenarioSpec s;
   ChaosOptions& c = s.chaos;
@@ -292,9 +302,9 @@ ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
   const uint64_t pick = rng->NextBounded(kNumFaultFamilies + 1);
   c.family = pick == kNumFaultFamilies ? FaultFamily::kMixed : static_cast<FaultFamily>(pick);
   c.transfer_bytes =
-      limits.min_transfer_bytes +
-      rng->NextBounded(limits.max_transfer_bytes - limits.min_transfer_bytes + 1);
-  c.num_windows = 1 + static_cast<int>(rng->NextBounded(static_cast<uint64_t>(limits.max_windows)));
+      kMinSampledTransferBytes +
+      rng->NextBounded(kMaxSampledTransferBytes - kMinSampledTransferBytes + 1);
+  c.num_windows = 1 + static_cast<int>(rng->NextBounded(kMaxSampledWindows));
   c.reorder_delay = rng->NextInRange(Us(100), Us(400));
   c.int_coalesce = rng->NextInRange(Us(60), Us(200));
   // inseq below ofo, ofo comfortably above the reorder delay the family
@@ -306,7 +316,7 @@ ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
   if (rng->NextBool(0.3)) {
     c.shards = 1 + rng->NextBounded(4);  // sharded engine path
   }
-  s.check_shard_divergence = rng->NextBool(limits.shard_divergence_prob);
+  s.check_shard_divergence = rng->NextBool(kShardDivergenceProb);
   // App-workload draws come from a stream derived from the spec's own seed,
   // not from `rng`: adding (or later extending) them consumes nothing from
   // the main stream, so every pre-app pinned fuzz seed still samples the

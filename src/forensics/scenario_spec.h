@@ -60,15 +60,8 @@ struct ScenarioSpec {
   static bool FromJson(const Json& json, ScenarioSpec* out, std::string* error);
 };
 
-// Bounds for sampled specs, chosen so a correct stack always completes the
-// transfer inside time_limit (the fuzzer hunts bugs, not resource limits).
+// How often sampled specs carry each optional axis.
 struct SampleLimits {
-  uint64_t min_transfer_bytes = 400'000;
-  uint64_t max_transfer_bytes = 2'000'000;
-  int max_windows = 4;
-  // Probability a sampled spec also runs the shard-divergence oracle
-  // (roughly doubles that spec's cost).
-  double shard_divergence_prob = 0.25;
   // Probability a sampled spec carries an application workload instead of
   // the raw transfer. App draws come from a stream derived from the spec's
   // own seed, so raising or lowering this never shifts the non-app fields

@@ -7,6 +7,10 @@
 namespace juggler {
 namespace {
 
+// Floors ShrinkWorkload halves the transfer and the time budget toward.
+constexpr uint64_t kMinTransferBytes = 200'000;
+constexpr TimeNs kMinTimeLimit = Ms(100);
+
 class Shrinker {
  public:
   Shrinker(const FailureSignature& target, const ShrinkOptions& options)
@@ -266,7 +270,7 @@ class Shrinker {
   // Halve the transfer and the time budget toward their floors.
   bool ShrinkWorkload(ScenarioSpec* spec) {
     bool any = false;
-    if (spec->chaos.transfer_bytes / 2 >= options_.min_transfer_bytes && !Exhausted()) {
+    if (spec->chaos.transfer_bytes / 2 >= kMinTransferBytes && !Exhausted()) {
       ScenarioSpec candidate = *spec;
       candidate.chaos.transfer_bytes /= 2;
       if (StillFails(candidate)) {
@@ -274,7 +278,7 @@ class Shrinker {
         any = true;
       }
     }
-    if (spec->chaos.time_limit / 2 >= options_.min_time_limit && !Exhausted()) {
+    if (spec->chaos.time_limit / 2 >= kMinTimeLimit && !Exhausted()) {
       ScenarioSpec candidate = *spec;
       candidate.chaos.time_limit /= 2;
       if (StillFails(candidate)) {

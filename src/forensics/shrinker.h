@@ -22,8 +22,6 @@ namespace juggler {
 struct ShrinkOptions {
   int timeout_ms = 30'000;  // per candidate child
   int max_runs = 200;       // total candidate executions
-  uint64_t min_transfer_bytes = 200'000;
-  TimeNs min_time_limit = Ms(100);
 };
 
 struct ShrinkResult {

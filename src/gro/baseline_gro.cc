@@ -2,17 +2,6 @@
 
 namespace juggler {
 
-TimeNs NoGro::Receive(PacketPtr packet) {
-  ++stats_.packets_in;
-  if (packet->payload_len > 0) {
-    ++stats_.data_packets_in;
-  } else {
-    ++stats_.acks_in;
-  }
-  Deliver(ToSegment(*packet), FlushReason::kPollEnd);
-  return costs_->gro_per_packet + costs_->gro_flush_per_segment;
-}
-
 TimeNs StandardGro::Receive(PacketPtr packet) {
   ++stats_.packets_in;
   TimeNs cost = costs_->gro_per_packet;

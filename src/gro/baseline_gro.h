@@ -1,6 +1,5 @@
 // Baseline GRO engines the paper compares against or discusses:
 //
-//   NoGro        — GRO disabled; every wire packet goes up individually.
 //   StandardGro  — Linux GRO: merges in-sequence packets into a frags[]
 //                  segment, flushes on any out-of-order arrival, flushes
 //                  everything at poll completion (§3, Figure 2).
@@ -19,18 +18,6 @@
 #include "src/gro/segment_builder.h"
 
 namespace juggler {
-
-class NoGro : public GroEngine {
- public:
-  explicit NoGro(const CpuCostModel* costs) : costs_(costs) {}
-
-  TimeNs Receive(PacketPtr packet) override;
-  TimeNs PollComplete() override { return 0; }
-  std::string name() const override { return "no_gro"; }
-
- private:
-  const CpuCostModel* costs_;
-};
 
 class StandardGro : public GroEngine {
  public:

@@ -144,7 +144,6 @@ class GroEngine {
   virtual std::string name() const = 0;
 
   const GroStats& stats() const { return stats_; }
-  GroStats* mutable_stats() { return &stats_; }
 
  protected:
   TimeNs Now() const { return *ctx_.now; }

@@ -34,18 +34,18 @@ void NicRx::StartPoll(RxQueue* q, bool session_entry) {
 void NicRx::DoPoll(RxQueue* q, bool session_entry) {
   ++stats_.polls;
   TimeNs cost = session_entry ? costs_->napi_poll_overhead : costs_->napi_repoll_overhead;
-  // One NAPI round: harvest up to `napi_budget` packets off the ring and
+  // One NAPI round: harvest up to kNapiBudget packets off the ring and
   // hand them to GRO as one poll round, in ring order — "the kernel hands
   // off packets to GRO, whose batching interval is the same as the driver's
   // polling interval".
   batch_.clear();
-  while (!q->ring.empty() && batch_.size() < config_.napi_budget) {
+  while (!q->ring.empty() && batch_.size() < kNapiBudget) {
     batch_.push_back(std::move(q->ring.front()));
     q->ring.pop_front();
     cost += costs_->driver_per_packet;
   }
   cost += GroReceive(q, batch_.data(), batch_.size());
-  if (batch_.size() == config_.napi_budget && !q->ring.empty()) {
+  if (batch_.size() == kNapiBudget && !q->ring.empty()) {
     ++stats_.napi_budget_exhausted;
     if (config_.recorder != nullptr) {
       config_.recorder->Record(loop_->now(), TraceKind::kNapiBudget, q->index,

@@ -4,7 +4,7 @@
 // and GRO.
 //
 // NAPI polling: an interrupt starts a polling session; each poll round
-// harvests up to `napi_budget` packets and hands them to GRO as one round.
+// harvests up to kNapiBudget packets and hands them to GRO as one round.
 // If packets arrived while the RX core was busy processing, polling
 // continues without a new interrupt — NAPI's polling mode under load — for
 // at most kMaxPollSession; then the session ends and the next arrival
@@ -24,6 +24,10 @@ class NicRx : public RxDriver {
   // NAPI stays in polling mode at most this long before completing the
   // session ("up to a brief interval of time (at most 2 milliseconds)").
   static constexpr TimeNs kMaxPollSession = Ms(2);
+  // NAPI budget: packets per poll round. The engine's PollComplete (GRO
+  // flush / timeout checks) runs at the end of every round, as the kernel's
+  // polling loop does.
+  static constexpr size_t kNapiBudget = 64;
 
   NicRx(EventLoop* loop, const CpuCostModel* costs, const NicRxConfig& config,
         const GroFactory& gro_factory, SegmentSink* sink);

@@ -85,10 +85,6 @@ struct NicRxConfig {
   // testbed, §5.2.1).
   TimeNs int_coalesce = Us(125);
   size_t ring_capacity = 4096;
-  // NAPI budget: packets per poll round. The engine's PollComplete (GRO
-  // flush / timeout checks) runs at the end of every round, as the kernel's
-  // polling loop does.
-  size_t napi_budget = 64;
   // >= 0 forces all packets to one queue (the paper aims all flows at a
   // single RX queue in the CPU experiments); -1 uses RSS hashing. RSS only.
   int force_queue = -1;
@@ -122,7 +118,7 @@ struct NicRxStats {
   uint64_t interrupts = 0;
   uint64_t polls = 0;
   uint64_t coalesce_arms = 0;           // interrupt armed behind the τ₀ spacing
-  uint64_t napi_budget_exhausted = 0;   // poll rounds that hit napi_budget
+  uint64_t napi_budget_exhausted = 0;   // poll rounds that hit the NAPI budget
   uint64_t ring_high_watermark = 0;     // deepest any queue's ring ever got
 };
 

@@ -83,7 +83,6 @@ class FlightRecorder {
     }
   }
 
-  uint32_t shard() const { return shard_; }
   uint64_t recorded() const { return seq_; }
   uint64_t dropped() const { return dropped_; }
 

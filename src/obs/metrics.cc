@@ -39,12 +39,6 @@ uint64_t MetricsRegistry::GaugeValue(const std::string& family, const std::strin
   return it == gauges_.end() ? fallback : it->second;
 }
 
-const Log2Histogram* MetricsRegistry::FindHistogram(const std::string& family,
-                                                    const std::string& label) const {
-  auto it = histograms_.find({family, label});
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [key, v] : other.counters_) counters_[key] += v;
   for (const auto& [key, v] : other.gauges_) {

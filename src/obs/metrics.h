@@ -70,7 +70,6 @@ class MetricsRegistry {
                         uint64_t fallback = 0) const;
   uint64_t GaugeValue(const std::string& family, const std::string& label,
                       uint64_t fallback = 0) const;
-  const Log2Histogram* FindHistogram(const std::string& family, const std::string& label) const;
 
   // Counters add, gauges take the max (they are high-watermarks here),
   // histograms merge bucketwise.

@@ -18,7 +18,6 @@ namespace juggler {
 struct ObsConfig {
   bool metrics = false;  // snapshot per-layer stats into a MetricsRegistry
   bool trace = false;    // attach FlightRecorders to the datapath hooks
-  size_t trace_capacity = 1u << 16;  // ring capacity per shard domain
 };
 
 struct ObsReport {

@@ -12,7 +12,7 @@ void PriorityController::Start() {
   running_ = true;
   last_bytes_acked_ = connection_->bytes_acked();
   connection_->set_priority_marker([this] { return Mark(); });
-  loop_->Schedule(config_.update_period, [this] { Update(); });
+  loop_->Schedule(kUpdatePeriod, [this] { Update(); });
 }
 
 void PriorityController::Update() {
@@ -20,17 +20,14 @@ void PriorityController::Update() {
     return;
   }
   const uint64_t acked = connection_->bytes_acked();
-  const double sample_bps =
-      RateBps(static_cast<int64_t>(acked - last_bytes_acked_), config_.update_period);
+  const double rate_bps =
+      RateBps(static_cast<int64_t>(acked - last_bytes_acked_), kUpdatePeriod);
   last_bytes_acked_ = acked;
-  // Smooth the per-period sample: ACK arrivals are bursty at sub-RTT scale.
-  rate_estimate_bps_ =
-      (1.0 - config_.ewma_alpha) * rate_estimate_bps_ + config_.ewma_alpha * sample_bps;
   const double rt = static_cast<double>(config_.target_rate_bps) /
                     static_cast<double>(config_.line_rate_bps);
-  const double rm = rate_estimate_bps_ / static_cast<double>(config_.line_rate_bps);
+  const double rm = rate_bps / static_cast<double>(config_.line_rate_bps);
   p_ = std::clamp(p_ + config_.alpha * (rt - rm), 0.0, 1.0);
-  loop_->Schedule(config_.update_period, [this] { Update(); });
+  loop_->Schedule(kUpdatePeriod, [this] { Update(); });
 }
 
 Priority PriorityController::Mark() {

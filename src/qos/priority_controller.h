@@ -26,20 +26,19 @@ struct PriorityControllerConfig {
   double alpha = 0.1;
   int64_t target_rate_bps = 20 * kGbps;
   int64_t line_rate_bps = 40 * kGbps;  // normalization for Rt and Rm
-  // The paper measures the achieved rate "for every ACK received"; a short
-  // period approximates that per-ACK cadence. A fast loop keeps priorities
-  // genuinely mixed around the equilibrium p — which is exactly what makes
-  // the scheme reorder packets and require Juggler.
-  TimeNs update_period = Us(50);
-  // Rate estimate smoothing (EWMA weight of the newest sample). The default
-  // of 1.0 uses raw per-period samples, as the paper's per-ACK measurement
-  // does; the resulting control noise keeps p exploring below 1.0.
-  double ewma_alpha = 1.0;
   uint64_t seed = 42;
 };
 
 class PriorityController {
  public:
+  // The paper measures the achieved rate "for every ACK received"; a short
+  // period approximates that per-ACK cadence. A fast loop keeps priorities
+  // genuinely mixed around the equilibrium p — which is exactly what makes
+  // the scheme reorder packets and require Juggler. Rm is the raw rate over
+  // the last period, unsmoothed, as the paper's per-ACK measurement is; the
+  // resulting control noise keeps p exploring below 1.0.
+  static constexpr TimeNs kUpdatePeriod = Us(50);
+
   PriorityController(EventLoop* loop, const PriorityControllerConfig& config,
                      TcpEndpoint* connection);
 
@@ -59,7 +58,6 @@ class PriorityController {
   TcpEndpoint* connection_;
   Rng rng_;
   double p_ = 0.0;  // all flows start at lowest priority (§5.3.1)
-  double rate_estimate_bps_ = 0.0;
   uint64_t last_bytes_acked_ = 0;
   bool running_ = false;
 };

@@ -129,10 +129,6 @@ void AppHarness::Finish() {
   w_.log->MergeFrom(a_side_log_);
 }
 
-bool AppHarness::CompletedCleanly() const {
-  return client_totals().forced_terminal == 0;
-}
-
 AppStats AppHarness::client_totals() const {
   AppStats total;
   for (const auto& conn : conns_) {

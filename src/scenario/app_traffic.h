@@ -61,9 +61,6 @@ class AppHarness {
   // auditor and per-connection integrity finals, and merge the A-side log.
   void Finish();
 
-  // True when no request had to be forced at Finish (zero hung requests).
-  bool CompletedCleanly() const;
-
   // First connection, for the digest's TCP counter mixing.
   const EndpointPair& primary() const { return conns_.front()->pair; }
 

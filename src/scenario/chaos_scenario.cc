@@ -19,6 +19,9 @@
 namespace juggler {
 namespace {
 
+// Flight-recorder ring capacity per shard domain, in events.
+constexpr size_t kTraceCapacity = 1u << 16;
+
 // FNV-1a, folded over every counter that must reproduce bit-identically.
 struct Digest {
   uint64_t h = 1469598103934665603ULL;
@@ -339,7 +342,7 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
   if (opt.obs.trace) {
     for (size_t i = 0; i < num_domains; ++i) {
       recorders.push_back(
-          std::make_unique<FlightRecorder>(static_cast<uint32_t>(i), opt.obs.trace_capacity));
+          std::make_unique<FlightRecorder>(static_cast<uint32_t>(i), kTraceCapacity));
     }
   }
   FlightRecorder* sender_rec = opt.obs.trace ? recorders.front().get() : nullptr;

@@ -26,12 +26,6 @@ inline RxDriver::GroFactory MakeStandardGroFactory() {
   };
 }
 
-inline RxDriver::GroFactory MakeNoGroFactory() {
-  return [](const CpuCostModel* costs) -> std::unique_ptr<GroEngine> {
-    return std::make_unique<NoGro>(costs);
-  };
-}
-
 inline RxDriver::GroFactory MakeLinkedListGroFactory() {
   return [](const CpuCostModel* costs) -> std::unique_ptr<GroEngine> {
     return std::make_unique<LinkedListGro>(costs);

@@ -69,16 +69,8 @@ class Host : public SegmentSink {
   }
   uint64_t pending_rx_bytes() const { return pending_rx_bytes_; }
   uint64_t stray_segments() const { return stray_segments_; }
-  size_t endpoint_count() const { return endpoints_.size(); }
-  // Table-owned bytes for the endpoint slab (bench/perf_core's TCP
-  // bytes-per-connection numerator). TcpEndpoint values live inline in the
-  // slab records, so this covers the TCP blocks themselves; heap owned by
-  // their members (SACK scoreboards, RTT FIFO) is lazy and zero for idle
-  // connections.
-  size_t endpoint_table_bytes() const { return endpoints_.resident_bytes(); }
   uint32_t ip() const { return config_.ip; }
   const std::string& name() const { return config_.name; }
-  const TcpConfig& tcp_config() const { return config_.tcp; }
 
  private:
   void Demux(const Segment& segment);

@@ -11,6 +11,25 @@ uint32_t HostIp(uint32_t tor, uint32_t index) {
   return (10u << 24) | (tor << 16) | (index + 1);
 }
 
+// Drop-tail bound on every host link: the NetFPGA host links and the Clos
+// and Dumbbell host->ToR uplinks, which model the NIC + qdisc. Deep enough
+// (milliseconds at line rate) that the queue backs up under TCP
+// backpressure and normal runs never touch the bound — TCP's in-flight
+// ceiling is a 3MB cwnd — but finite, so overload storms hit a wall instead
+// of an infinitely elastic buffer.
+constexpr int64_t kHostLinkQueueBytes = 16'000'000;
+
+constexpr size_t kClosSpines = 2;
+constexpr int64_t kClosFabricLinkRateBps = 40 * kGbps;
+// ECN ports CE-mark above this fraction of the switch buffer.
+constexpr double kClosEcnThresholdFill = 0.1;
+
+constexpr int64_t kDumbbellLinkRateBps = 40 * kGbps;
+// Deep-buffer interconnect (the spine-tier chassis switches of §2.2, e.g.
+// Arista 7500 class): the low-priority queue can hold ~400us at 40G, so
+// mixing priorities produces severe reordering.
+constexpr int64_t kDumbbellSwitchBufferBytes = 2'000'000;
+
 }  // namespace
 
 Partition Partition::OneDomain(SimWorld* world) {
@@ -72,7 +91,7 @@ NetFpgaTestbed BuildNetFpga(const Partition& partition, const CpuCostModel* cost
   LinkConfig host_link;
   host_link.rate_bps = options.link_rate_bps;
   host_link.propagation_delay = options.base_delay;
-  host_link.queue_limit_bytes = options.host_link_queue_bytes;
+  host_link.queue_limit_bytes = kHostLinkQueueBytes;
 
   // Build back-to-front. The reverse (ACK) path ends at the sender, which
   // does not exist yet — latch it.
@@ -113,25 +132,27 @@ ClosTestbed BuildClos(const Partition& partition, const CpuCostModel* costs, Clo
   t.tor_b = t.fabric.AddSwitch("tor_b", options.lb);
   std::vector<Switch*> spines;
   std::vector<NodeDomain> spine_at;
-  for (size_t s = 0; s < options.num_spines; ++s) {
+  for (size_t s = 0; s < kClosSpines; ++s) {
     // Spines route deterministically by destination ToR; no balancing.
     spines.push_back(t.fabric.AddSwitch("spine_" + std::to_string(s), LbPolicy::kEcmp));
     spine_at.push_back(partition.Place("spine_" + std::to_string(s)));
   }
 
+  // Every switch port runs RED: early random drops (the ECN/WRED role) keep
+  // competing flows desynchronized and fair.
   LinkConfig fabric_link;
-  fabric_link.rate_bps = options.fabric_link_rate_bps;
-  fabric_link.propagation_delay = options.link_prop;
+  fabric_link.rate_bps = kClosFabricLinkRateBps;
+  fabric_link.propagation_delay = kTopologyLinkDelay;
   fabric_link.queue_limit_bytes = options.switch_buffer_bytes;
-  fabric_link.red = options.red;
+  fabric_link.red = true;
   fabric_link.red_seed = options.seed * 977 + 5;
   fabric_link.ecn = options.ecn;
-  fabric_link.ecn_threshold_fill = options.ecn_threshold_fill;
+  fabric_link.ecn_threshold_fill = kClosEcnThresholdFill;
 
   // ToR uplinks and spine downlinks.
   std::vector<Link*> spine_to_a;
   std::vector<Link*> spine_to_b;
-  for (size_t s = 0; s < options.num_spines; ++s) {
+  for (size_t s = 0; s < kClosSpines; ++s) {
     const std::string spine = "spine" + std::to_string(s);
     Link* up_a = partition.AddLink(&t.fabric, tor_a_at, spine_at[s], "torA->" + spine,
                                    fabric_link, spines[s]);
@@ -152,14 +173,14 @@ ClosTestbed BuildClos(const Partition& partition, const CpuCostModel* costs, Clo
   // footprint. ToR->host downlinks are switch ports with drop-tail buffers.
   LinkConfig uplink_cfg;
   uplink_cfg.rate_bps = options.host_link_rate_bps;
-  uplink_cfg.propagation_delay = options.link_prop;
-  uplink_cfg.queue_limit_bytes = options.host_uplink_queue_bytes;
+  uplink_cfg.propagation_delay = kTopologyLinkDelay;
+  uplink_cfg.queue_limit_bytes = kHostLinkQueueBytes;
   LinkConfig downlink_cfg = uplink_cfg;
   downlink_cfg.queue_limit_bytes = options.switch_buffer_bytes;
-  downlink_cfg.red = options.red;
+  downlink_cfg.red = true;
   downlink_cfg.red_seed = options.seed * 613 + 3;
   downlink_cfg.ecn = options.ecn;
-  downlink_cfg.ecn_threshold_fill = options.ecn_threshold_fill;
+  downlink_cfg.ecn_threshold_fill = kClosEcnThresholdFill;
 
   auto build_side = [&](Switch* tor, const NodeDomain& tor_at, uint32_t tor_id,
                         std::vector<Host*>* out, const std::vector<Link*>& spine_down) {
@@ -194,7 +215,7 @@ ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* c
   return BuildClos(Partition::PerNode(engine), costs, std::move(options));
 }
 
-DumbbellTestbed BuildDumbbell(SimWorld* world, DumbbellOptions options) {
+DumbbellTestbed BuildDumbbell(SimWorld* world, const HostConfig& host_template) {
   DumbbellTestbed t;
   EventLoop* loop = &world->loop;
 
@@ -204,11 +225,11 @@ DumbbellTestbed BuildDumbbell(SimWorld* world, DumbbellOptions options) {
 
   // All inter-switch links carry two strict-priority queues (Figure 17).
   LinkConfig prio_link;
-  prio_link.rate_bps = options.link_rate_bps;
-  prio_link.propagation_delay = options.link_prop;
-  prio_link.queue_limit_bytes = options.switch_buffer_bytes;
+  prio_link.rate_bps = kDumbbellLinkRateBps;
+  prio_link.propagation_delay = kTopologyLinkDelay;
+  prio_link.queue_limit_bytes = kDumbbellSwitchBufferBytes;
   prio_link.num_priorities = 2;
-  prio_link.red = options.red;
+  prio_link.red = true;
   // Deep-buffer ports run gentle RED: enough early dropping to keep the
   // competing flows desynchronized and fair, but a low ceiling so a flow
   // mixing a few percent of its packets into the congested low-priority
@@ -216,7 +237,7 @@ DumbbellTestbed BuildDumbbell(SimWorld* world, DumbbellOptions options) {
   prio_link.red_min_fill = 0.3;
   prio_link.red_max_fill = 0.95;
   prio_link.red_pmax = 0.03;
-  prio_link.red_seed = options.seed * 389 + 7;
+  prio_link.red_seed = 396;
 
   Link* l_to_s2 = t.fabric.AddLink(loop, "torL->s2", prio_link, s2);
   Link* s2_to_r = t.fabric.AddLink(loop, "s2->torR", prio_link, tor_r);
@@ -226,16 +247,16 @@ DumbbellTestbed BuildDumbbell(SimWorld* world, DumbbellOptions options) {
   // NIC/qdisc uplinks shed only at a deep explicit bound; switch downlinks
   // are drop-tail at the switch buffer size.
   LinkConfig uplink_cfg;
-  uplink_cfg.rate_bps = options.link_rate_bps;
-  uplink_cfg.propagation_delay = options.link_prop;
-  uplink_cfg.queue_limit_bytes = options.host_uplink_queue_bytes;
+  uplink_cfg.rate_bps = kDumbbellLinkRateBps;
+  uplink_cfg.propagation_delay = kTopologyLinkDelay;
+  uplink_cfg.queue_limit_bytes = kHostLinkQueueBytes;
   LinkConfig downlink_cfg = uplink_cfg;
-  downlink_cfg.queue_limit_bytes = options.switch_buffer_bytes;
-  downlink_cfg.red = options.red;
-  downlink_cfg.red_seed = options.seed * 241 + 9;
+  downlink_cfg.queue_limit_bytes = kDumbbellSwitchBufferBytes;
+  downlink_cfg.red = true;
+  downlink_cfg.red_seed = 250;
 
   auto add_host = [&](Switch* tor, uint32_t tor_id, uint32_t index, const char* name) {
-    HostConfig hc = options.host_template;
+    HostConfig hc = host_template;
     hc.ip = HostIp(tor_id, index);
     hc.name = name;
     Link* uplink = t.fabric.AddLink(loop, hc.name + "->" + tor->name(), uplink_cfg, tor);

@@ -122,12 +122,6 @@ struct NetFpgaOptions {
   int64_t link_rate_bps = 10 * kGbps;
   TimeNs base_delay = Us(5);      // lane 0 delay (fabric latency)
   TimeNs reorder_delay = Us(500);  // lane 1 extra delay: "τ µs reordering"
-  // Drop-tail bound on both host links. Deep enough (milliseconds at line
-  // rate) that normal runs never touch it — TCP's in-flight ceiling is
-  // max_cwnd = 3MB — but finite, so overload storms hit a wall instead of
-  // an infinitely elastic buffer. <= 0 restores the old unbounded queues
-  // (chaos runs flag that as a setup bug when overload faults are active).
-  int64_t host_link_queue_bytes = 16'000'000;
   // Fault-injection schedule applied receiver-side, nearest the NIC (after
   // the reorder stage). Empty = no fault stage.
   FaultTimeline faults;
@@ -159,23 +153,19 @@ NetFpgaTestbed BuildNetFpga(const Partition& partition, const CpuCostModel* cost
 
 // ------------------------------------------------------------------- Clos --
 
+// Propagation delay of every Clos and Dumbbell link. A sharded Clos's
+// crossing ToR<->spine links carry it, so it is that engine's lookahead.
+inline constexpr TimeNs kTopologyLinkDelay = Us(1);
+
+// The fabric is fixed: two spines, 40Gb/s ToR<->spine links, 16MB host
+// uplinks, and RED on every switch port.
 struct ClosOptions {
   size_t hosts_per_tor = 8;
-  size_t num_spines = 2;
   int64_t host_link_rate_bps = 40 * kGbps;
-  int64_t fabric_link_rate_bps = 40 * kGbps;
-  TimeNs link_prop = Us(1);
   int64_t switch_buffer_bytes = 1'000'000;
   LbPolicy lb = LbPolicy::kPerPacket;
-  // Host->ToR "NIC + qdisc" uplinks: backs up under TCP backpressure, and
-  // only sheds when pushed far beyond any congestion-window footprint.
-  int64_t host_uplink_queue_bytes = 16'000'000;
-  // Early random drops on switch ports (the ECN/WRED role); keeps competing
-  // flows desynchronized and fair.
-  bool red = true;
   // CE-mark instead of growing deep queues (pair with TcpConfig::dctcp).
   bool ecn = false;
-  double ecn_threshold_fill = 0.1;
   uint64_t seed = 1;
   // Per-host config template; ip/name are assigned by the builder.
   HostConfig host_template;
@@ -194,29 +184,15 @@ struct ClosTestbed {
 ClosTestbed BuildClos(SimWorld* world, ClosOptions options);
 
 // The same fabric with one domain per rack and one per spine: [rack_a,
-// rack_b, spine_0, spine_1, ...], where a rack is a ToR and its hosts. Host
-// links stay inside their rack; each ToR<->spine link crosses with latency
-// link_prop, so the engine's lookahead is the fabric's propagation delay.
+// rack_b, spine_0, spine_1], where a rack is a ToR and its hosts. Host links
+// stay inside their rack; each ToR<->spine link crosses with latency
+// kTopologyLinkDelay, which is therefore the engine's lookahead.
 // `engine` and `costs` must outlive the returned testbed.
 using ShardedClosTestbed = ClosTestbed;
 ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* costs,
                                     ClosOptions options);
 
 // --------------------------------------------------------------- Dumbbell --
-
-struct DumbbellOptions {
-  int64_t link_rate_bps = 40 * kGbps;
-  TimeNs link_prop = Us(1);
-  // Deep-buffer interconnect (the spine-tier chassis switches of §2.2, e.g.
-  // Arista 7500 class): the low-priority queue can hold ~400us at 40G, so
-  // mixing priorities produces severe reordering.
-  int64_t switch_buffer_bytes = 2'000'000;
-  // Host->ToR "NIC + qdisc" uplinks (see ClosOptions::host_uplink_queue_bytes).
-  int64_t host_uplink_queue_bytes = 16'000'000;
-  bool red = true;
-  uint64_t seed = 1;
-  HostConfig host_template;
-};
 
 struct DumbbellTestbed {
   Fabric fabric;
@@ -226,7 +202,9 @@ struct DumbbellTestbed {
   Host* receiver2 = nullptr;
 };
 
-DumbbellTestbed BuildDumbbell(SimWorld* world, DumbbellOptions options);
+// The interconnect is fixed: 40Gb/s links, a 2MB deep-buffer switch and RED
+// on its ports. Every host is built from `host_template` (ip/name assigned).
+DumbbellTestbed BuildDumbbell(SimWorld* world, const HostConfig& host_template);
 
 }  // namespace juggler
 

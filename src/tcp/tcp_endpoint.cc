@@ -5,6 +5,24 @@
 #include "src/util/logging.h"
 
 namespace juggler {
+namespace {
+constexpr uint32_t kInitCwnd = 10 * kMss;
+constexpr uint32_t kMaxCwnd = 3'000'000;
+constexpr uint32_t kRcvBuf = 6'000'000;
+// Multiplicative-decrease factor on fast retransmit. 0.5 is classic Reno;
+// 0.7 matches CUBIC (the Linux default in the paper's era) and keeps the
+// sawtooth mean close to the path's fair rate.
+constexpr double kMdBeta = 0.7;
+// Linux-style adaptive reordering detection: when a DSACK reveals that a
+// fast retransmit was spurious (the "lost" packet was merely late), the
+// effective threshold doubles, up to this cap. An RTO resets it.
+constexpr int kMaxDupackThreshold = 256;
+constexpr TimeNs kMinRto = Ms(2);
+// DCTCP's EWMA gain for the marked fraction.
+constexpr double kDctcpG = 1.0 / 16.0;
+// How far below snd_una a DSACK may refer to a remembered retransmission.
+constexpr uint32_t kDsackHorizon = 8 * 1024 * 1024;
+}  // namespace
 
 TcpEndpoint::TcpEndpoint(EventLoop* loop, const TcpConfig& config, const FiveTuple& local,
                          NicTx* nic)
@@ -12,15 +30,10 @@ TcpEndpoint::TcpEndpoint(EventLoop* loop, const TcpConfig& config, const FiveTup
       config_(config),
       local_(local),
       nic_(nic),
-      cwnd_(config.init_cwnd),
-      peer_rwnd_(config.rcv_buf),
+      cwnd_(kInitCwnd),
+      peer_rwnd_(kRcvBuf),
       effective_dupack_threshold_(config.dupack_threshold),
       rto_(config.initial_rto) {}
-
-namespace {
-// How far below snd_una a DSACK may refer to a remembered retransmission.
-constexpr uint32_t kDsackHorizon = 8 * 1024 * 1024;
-}  // namespace
 
 void TcpEndpoint::set_priority_marker(std::function<Priority()> marker) {
   marker_ = std::move(marker);
@@ -127,7 +140,7 @@ void TcpEndpoint::ProcessAck(Seq ack, uint32_t rwnd, const SackBlocks& sack, boo
     if (rtx_ranges_.Covers(sack.start[0])) {
       ++snd_stats_.spurious_retransmits_detected;
       effective_dupack_threshold_ =
-          std::min(config_.max_dupack_threshold, effective_dupack_threshold_ * 2);
+          std::min(kMaxDupackThreshold, effective_dupack_threshold_ * 2);
     }
   }
   // Merge SACK blocks into the scoreboard (clipped to outstanding data).
@@ -179,17 +192,17 @@ void TcpEndpoint::ProcessAck(Seq ack, uint32_t rwnd, const SackBlocks& sack, boo
         MaybeRetransmitHole();
       }
     } else if (cwnd_ < ssthresh_) {
-      cwnd_ = std::min(config_.max_cwnd, cwnd_ + acked);  // slow start
+      cwnd_ = std::min(kMaxCwnd, cwnd_ + acked);  // slow start
     } else {
       const uint64_t inc =
-          static_cast<uint64_t>(config_.mss) * acked / std::max<uint32_t>(cwnd_, 1);
+          static_cast<uint64_t>(kMss) * acked / std::max<uint32_t>(cwnd_, 1);
       cwnd_ = static_cast<uint32_t>(
-          std::min<uint64_t>(config_.max_cwnd, cwnd_ + std::max<uint64_t>(inc, 1)));
+          std::min<uint64_t>(kMaxCwnd, cwnd_ + std::max<uint64_t>(inc, 1)));
     }
 
     if (snd_una_ == snd_nxt_) {
       CancelRto();
-      rto_ = std::clamp(std::max(2 * srtt_, srtt_ + 4 * rttvar_), config_.min_rto,
+      rto_ = std::clamp(std::max(2 * srtt_, srtt_ + 4 * rttvar_), kMinRto,
                         config_.max_rto);
     } else {
       ArmRto();
@@ -208,7 +221,7 @@ void TcpEndpoint::ProcessAck(Seq ack, uint32_t rwnd, const SackBlocks& sack, boo
     const bool sack_loss =
         !sacked_.empty() &&
         sacked_.TotalBytes() >=
-            static_cast<uint64_t>(effective_dupack_threshold_) * config_.mss;
+            static_cast<uint64_t>(effective_dupack_threshold_) * kMss;
     if (!in_recovery_ && !in_rto_recovery_ &&
         (dupacks_ >= effective_dupack_threshold_ || sack_loss)) {
       EnterFastRetransmit();
@@ -217,7 +230,7 @@ void TcpEndpoint::ProcessAck(Seq ack, uint32_t rwnd, const SackBlocks& sack, boo
       // (Unbounded inflation would blow the window open if recovery stalls
       // on a lost retransmission.)
       if (cwnd_ < 2 * ssthresh_) {
-        cwnd_ = std::min(config_.max_cwnd, cwnd_ + config_.mss);
+        cwnd_ = std::min(kMaxCwnd, cwnd_ + kMss);
       }
       MaybeRetransmitHole();
       MaybeSend();
@@ -236,10 +249,10 @@ void TcpEndpoint::UpdateDctcp(uint32_t acked, bool ece) {
   if (dctcp_window_acked_ > 0) {
     const double frac = static_cast<double>(dctcp_window_marked_) /
                         static_cast<double>(dctcp_window_acked_);
-    dctcp_alpha_ = (1.0 - config_.dctcp_g) * dctcp_alpha_ + config_.dctcp_g * frac;
+    dctcp_alpha_ = (1.0 - kDctcpG) * dctcp_alpha_ + kDctcpG * frac;
     if (frac > 0.0 && !in_recovery_ && !in_rto_recovery_) {
       // DCTCP decrease: proportional to the congestion extent.
-      cwnd_ = std::max(2 * config_.mss,
+      cwnd_ = std::max(2 * kMss,
                        static_cast<uint32_t>(cwnd_ * (1.0 - dctcp_alpha_ / 2.0)));
       ssthresh_ = cwnd_;
     }
@@ -252,10 +265,10 @@ void TcpEndpoint::UpdateDctcp(uint32_t acked, bool ece) {
 void TcpEndpoint::EnterFastRetransmit() {
   ++snd_stats_.fast_retransmits;
   const uint32_t inflight = InflightBytes();
-  ssthresh_ = std::max(static_cast<uint32_t>(inflight * config_.md_beta), 2 * config_.mss);
+  ssthresh_ = std::max(static_cast<uint32_t>(inflight * kMdBeta), 2 * kMss);
   recover_ = snd_nxt_;
   in_recovery_ = true;
-  cwnd_ = ssthresh_ + 3 * config_.mss;
+  cwnd_ = ssthresh_ + 3 * kMss;
   rtx_next_ = snd_una_;
   MaybeRetransmitHole();
   ArmRto();
@@ -271,7 +284,7 @@ void TcpEndpoint::MaybeRetransmitHole() {
       return;
     }
     const uint32_t len =
-        std::min(config_.mss, static_cast<uint32_t>(SeqDelta(snd_una_, snd_nxt_)));
+        std::min(kMss, static_cast<uint32_t>(SeqDelta(snd_una_, snd_nxt_)));
     SendBurstNow(snd_una_, len, /*is_retransmit=*/true);
     rtx_next_ = snd_una_ + len;
     return;
@@ -300,8 +313,8 @@ void TcpEndpoint::OnRto() {
   if (in_rto_recovery_) {
     ++snd_stats_.rto_backoffs;  // consecutive timeout: the backoff escalated
   }
-  ssthresh_ = std::max(InflightBytes() / 2, 2 * config_.mss);
-  cwnd_ = config_.mss;
+  ssthresh_ = std::max(InflightBytes() / 2, 2 * kMss);
+  cwnd_ = kMss;
   in_recovery_ = false;
   dupacks_ = 0;
   rtx_next_ = snd_una_;
@@ -330,7 +343,7 @@ void TcpEndpoint::ResendAfterRto() {
       break;
     }
   }
-  const uint32_t window = std::max(cwnd_, config_.mss);
+  const uint32_t window = std::max(cwnd_, kMss);
   const uint32_t len = static_cast<uint32_t>(std::min<int64_t>(
       SeqDelta(from, bound), std::min<uint32_t>(kMaxTsoPayload, window)));
   SendBurstNow(from, len, /*is_retransmit=*/true);
@@ -417,7 +430,7 @@ void TcpEndpoint::UpdateRttEstimate(TimeNs sample) {
   // RFC6298 shape, with a 2x-SRTT floor: rttvar decays to ~0 on steady
   // paths, and a window-limited sender's ACK clock arrives in RTT-spaced
   // bursts — an RTO equal to SRTT would fire spuriously every window.
-  rto_ = std::clamp(std::max(2 * srtt_, srtt_ + 4 * rttvar_), config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(std::max(2 * srtt_, srtt_ + 4 * rttvar_), kMinRto, config_.max_rto);
 }
 
 // -------------------------------------------------------------- receiver --
@@ -472,10 +485,10 @@ uint32_t TcpEndpoint::AdvertisedWindow() const {
   if (rwnd_pressure_) {
     used += rwnd_pressure_();
   }
-  if (used >= config_.rcv_buf) {
+  if (used >= kRcvBuf) {
     return 0;
   }
-  return config_.rcv_buf - static_cast<uint32_t>(used);
+  return kRcvBuf - static_cast<uint32_t>(used);
 }
 
 void TcpEndpoint::SendAckNow(Seq dsack_start, Seq dsack_end, bool ece) {

@@ -36,34 +36,19 @@
 namespace juggler {
 
 struct TcpConfig {
-  uint32_t mss = kMss;
-  uint32_t init_cwnd = 10 * kMss;
-  uint32_t max_cwnd = 3'000'000;
-  uint32_t rcv_buf = 6'000'000;
-  // Duplicate ACKs before fast retransmit. 3 is standard; raising it is the
-  // classic TCP-side reordering mitigation (§6, RR-TCP et al.).
-  int dupack_threshold = 3;
-  // Multiplicative-decrease factor on fast retransmit. 0.5 is classic Reno;
-  // 0.7 matches CUBIC (the Linux default in the paper's era) and keeps the
-  // sawtooth mean close to the path's fair rate.
-  double md_beta = 0.7;
-  // Linux-style adaptive reordering detection: when a DSACK reveals that a
-  // fast retransmit was spurious (the "lost" packet was merely late), the
-  // effective threshold grows, up to this cap. An RTO resets it. Set the cap
-  // to dupack_threshold to disable adaptation.
-  int max_dupack_threshold = 256;
-  TimeNs min_rto = Ms(2);
   TimeNs max_rto = Ms(200);
   // RTO before the first RTT sample; generous so slow control paths don't
   // fire spurious timeouts at startup.
   TimeNs initial_rto = Ms(50);
   // Optional per-connection send-rate cap (leaky bucket over bursts).
   int64_t pacing_rate_bps = 0;
+  // Duplicate ACKs before fast retransmit. 3 is standard; raising it is the
+  // classic TCP-side reordering mitigation (§6, RR-TCP et al.).
+  int dupack_threshold = 3;
   // DCTCP congestion control: scale cwnd by the EWMA fraction of CE-marked
   // bytes once per window instead of halving on loss signals alone. Needs
   // ECN-marking switch ports (LinkConfig::ecn).
   bool dctcp = false;
-  double dctcp_g = 1.0 / 16.0;
 };
 
 struct TcpSenderStats {
@@ -80,7 +65,7 @@ struct TcpSenderStats {
   // escalating). The first timeout of an episode counts in `rtos` only.
   uint64_t rto_backoffs = 0;
   // Persist-timer probes sent against a peer advertising a zero window
-  // (receive-side overload: the app-core backlog ate the whole rcv_buf).
+  // (receive-side overload: the app-core backlog ate the whole receive buffer).
   // Without these the window-reopen ACK has no trigger and the connection
   // deadlocks with an empty event loop.
   uint64_t zero_window_probes = 0;
@@ -143,8 +128,6 @@ class TcpEndpoint {
 
   // A merged segment for this connection (data, ACK, or both).
   void OnSegment(const Segment& segment);
-
-  const FiveTuple& local_flow() const { return local_; }
 
   // Per-connection snapshot into `registry` under `label`: both halves'
   // counters (PublishTcpStats) plus instantaneous gauges (cwnd, srtt). The

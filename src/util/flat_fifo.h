@@ -54,11 +54,6 @@ class FlatFifo {
     head_ = 0;
   }
 
-  // Releases the buffer entirely (clear() keeps capacity for reuse).
-  void shrink() {
-    items_ = std::vector<T>();
-    head_ = 0;
-  }
 
  private:
   static constexpr size_t kSlideFloor = 64;

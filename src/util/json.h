@@ -37,7 +37,6 @@ class Json {
   static Json Array();
   static Json Object();
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_number() const {
     return kind_ == Kind::kInt || kind_ == Kind::kUint || kind_ == Kind::kDouble;
@@ -45,7 +44,6 @@ class Json {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_string() const { return kind_ == Kind::kString; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
 
   // Loose accessors: return `fallback` on kind mismatch. Numeric accessors
   // convert between the three numeric kinds (with the usual narrowing).

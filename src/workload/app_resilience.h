@@ -238,7 +238,6 @@ class AppClientSession {
   void ForceFinish();
 
   const AppStats& stats() const { return stats_; }
-  uint32_t session_index() const { return session_; }
 
  private:
   struct Request {

@@ -13,10 +13,6 @@ GroHarness MakeStandard() {
   return GroHarness([](const CpuCostModel* c) { return std::make_unique<StandardGro>(c); });
 }
 
-GroHarness MakeNo() {
-  return GroHarness([](const CpuCostModel* c) { return std::make_unique<NoGro>(c); });
-}
-
 GroHarness MakeLinked() {
   return GroHarness([](const CpuCostModel* c) { return std::make_unique<LinkedListGro>(c); });
 }
@@ -24,17 +20,6 @@ GroHarness MakeLinked() {
 GroHarness MakePresto() {
   return GroHarness(
       [](const CpuCostModel* c) { return std::make_unique<PrestoGro>(c, PrestoGroConfig{}); });
-}
-
-TEST(NoGroTest, DeliversEveryPacketIndividually) {
-  GroHarness h = MakeNo();
-  const FiveTuple flow = TestFlow();
-  for (int i = 0; i < 5; ++i) {
-    h.Receive(MakeDataPacket(flow, static_cast<Seq>(i) * kMss, kMss));
-  }
-  h.PollComplete();
-  EXPECT_EQ(h.delivered().size(), 5u);
-  EXPECT_EQ(h.engine()->stats().segments_out, 5u);
 }
 
 TEST(StandardGroTest, MergesInOrderBurst) {

@@ -199,13 +199,12 @@ TEST(ClosIntegrationTest, PerPacketBalancesUplinksEvenly) {
 
 TEST(DumbbellIntegrationTest, PriorityControllerMeetsGuarantee) {
   SimWorld world;
-  DumbbellOptions opt;
-  opt.host_template = BaseHost();
-  opt.host_template.gro_factory = MakeJugglerFactory();
+  HostConfig host = BaseHost();
+  host.gro_factory = MakeJugglerFactory();
   // One RX queue + app core per flow, as on the paper's hosts.
-  opt.host_template.rx.num_queues = 8;
-  opt.host_template.num_app_cores = 8;
-  DumbbellTestbed t = BuildDumbbell(&world, opt);
+  host.rx.num_queues = 8;
+  host.num_app_cores = 8;
+  DumbbellTestbed t = BuildDumbbell(&world, host);
 
   EndpointPair target = ConnectHosts(t.sender1, t.receiver1, 1000, 2000);
   std::vector<EndpointPair> antagonists;
@@ -237,12 +236,11 @@ TEST(DumbbellIntegrationTest, PriorityControllerMeetsGuarantee) {
 
 TEST(DumbbellIntegrationTest, WithoutGuaranteeFlowsShareFairly) {
   SimWorld world;
-  DumbbellOptions opt;
-  opt.host_template = BaseHost();
-  opt.host_template.gro_factory = MakeJugglerFactory();
-  opt.host_template.rx.num_queues = 8;
-  opt.host_template.num_app_cores = 8;
-  DumbbellTestbed t = BuildDumbbell(&world, opt);
+  HostConfig host = BaseHost();
+  host.gro_factory = MakeJugglerFactory();
+  host.rx.num_queues = 8;
+  host.num_app_cores = 8;
+  DumbbellTestbed t = BuildDumbbell(&world, host);
   EndpointPair target = ConnectHosts(t.sender1, t.receiver1, 1000, 2000);
   std::vector<EndpointPair> antagonists;
   for (uint16_t i = 0; i < 7; ++i) {

@@ -223,27 +223,27 @@ TEST(NicRxTest, JugglerReorderAbsorbedInsideOnePoll) {
 // ---- NAPI edge cases ----
 
 TEST(NicRxTest, BudgetExhaustionMidBatchSplitsPollRounds) {
-  // 20 packets against an 8-packet budget: the NAPI loop must cut the batch
-  // at the budget boundary, count the exhaustion, re-poll, and still deliver
-  // every byte (budget caps latency per round, never drops).
+  // 160 packets against the 64-packet budget: the NAPI loop must cut the
+  // batch at the budget boundary, count the exhaustion, re-poll, and still
+  // deliver every byte (budget caps latency per round, never drops).
+  static_assert(NicRx::kNapiBudget == 64);
   EventLoop loop;
   PacketFactory f;
   CpuCostModel costs;
   SegmentCollector sink(&loop);
   NicRxConfig cfg;
-  cfg.napi_budget = 8;
   cfg.int_coalesce = Ms(10);  // one interrupt; the burst drains via re-polls
   NicRx nic(&loop, &costs, cfg, StandardFactory(), &sink);
   nic.Accept(Wire(&f, 0));
   loop.RunSteps(1);  // first interrupt fired; now stuff the ring between polls
-  for (Seq s = 1; s < 20; ++s) {
+  for (Seq s = 1; s < 160; ++s) {
     nic.Accept(Wire(&f, s * kMss));
   }
   loop.Run();
   EXPECT_GT(nic.stats().napi_budget_exhausted, 0u);
-  EXPECT_GT(nic.stats().polls, 2u) << "a 20-packet ring cannot drain in <= 2 rounds of 8";
+  EXPECT_GT(nic.stats().polls, 2u) << "a 160-packet ring cannot drain in <= 2 rounds of 64";
   EXPECT_EQ(nic.stats().ring_drops, 0u);
-  EXPECT_EQ(TotalPayload(sink.segments), 20u * kMss);
+  EXPECT_EQ(TotalPayload(sink.segments), 160u * kMss);
 }
 
 TEST(NicRxTest, CoalesceTimerFiresAtBatchBoundary) {

@@ -41,7 +41,7 @@ TEST(PriorityControllerTest, PRisesWhenBelowTarget) {
   PriorityController controller(&c.loop, cfg, c.endpoint.get());
   controller.Start();
   // No ACKs arrive -> measured rate 0 -> p += alpha * 0.5 each period.
-  c.loop.RunUntil(5 * cfg.update_period + Us(1));
+  c.loop.RunUntil(5 * PriorityController::kUpdatePeriod + Us(1));
   EXPECT_NEAR(controller.p(), 5 * 0.1 * 0.5, 1e-9);
 }
 
@@ -65,7 +65,7 @@ TEST(PriorityControllerTest, MarkerFrequencyTracksP) {
   cfg.alpha = 1.0;  // p jumps to 0.5 after one period
   PriorityController controller(&c.loop, cfg, c.endpoint.get());
   controller.Start();
-  c.loop.RunUntil(cfg.update_period + Us(1));
+  c.loop.RunUntil(PriorityController::kUpdatePeriod + Us(1));
   EXPECT_NEAR(controller.p(), 0.5, 1e-9);
   // The marking frequency itself is validated statistically end-to-end in
   // the dumbbell integration test.
@@ -76,7 +76,7 @@ TEST(PriorityControllerTest, StopHaltsUpdates) {
   PriorityControllerConfig cfg;
   PriorityController controller(&c.loop, cfg, c.endpoint.get());
   controller.Start();
-  c.loop.RunUntil(2 * cfg.update_period + Us(1));
+  c.loop.RunUntil(2 * PriorityController::kUpdatePeriod + Us(1));
   const double p = controller.p();
   controller.Stop();
   c.loop.RunUntil(Ms(10));

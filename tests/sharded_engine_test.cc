@@ -355,7 +355,7 @@ TEST_F(ShardedEngineTest, ClosRackPartitionIsWorkerCountInvariant) {
         o.delivered += pair.b_to_a->bytes_delivered();
       }
     }
-    EXPECT_EQ(engine.stats().lookahead, opt.link_prop);
+    EXPECT_EQ(engine.stats().lookahead, kTopologyLinkDelay);
     EXPECT_EQ(engine.stats().workers, workers);
     for (const auto* side : {&t.left_hosts, &t.right_hosts}) {
       for (Host* h : *side) {
